@@ -14,7 +14,6 @@ import hashlib
 import heapq
 import math
 import random
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Sequence
 
@@ -47,15 +46,12 @@ class EventKind(Enum):
     MONITOR_SAMPLE = "monitor_sample"
 
 
-@dataclass
-class Event:
-    """A scheduled callback.  ``seq`` breaks ties between equal timestamps."""
+# Event-hash name bytes of each kind, keyed by identity: hashing an Enum
+# member runs Python code, ``id`` does not.
+_KIND_NAMES = {id(kind): kind.name.encode() for kind in EventKind}
 
-    time: SimTime
-    seq: int
-    kind: EventKind
-    fn: Callable[[SimTime, Any], None]
-    payload: Any = None
+#: Dispatched-event records buffered before each update of the event hash.
+HASH_BATCH = 256
 
 
 class RngStream:
@@ -112,11 +108,13 @@ class SimEngine:
     def __init__(self, seed: int, hash_events: bool = False):
         self.seed = seed
         self._now: SimTime = 0
-        self._heap: list[tuple[int, int, Event]] = []
+        # (time, seq, kind, fn, payload); ``seq`` breaks ties between equal times.
+        self._heap: list[tuple[SimTime, int, EventKind, Callable[[SimTime, Any], None], Any]] = []
         self._seq = 0
         self._streams: dict[str, RngStream] = {}
         self._processed = 0
         self._hasher = hashlib.sha256() if hash_events else None
+        self._hash_buf: list[bytes] | None = [] if hash_events else None
 
     # ------------------------------------------------------------------
     # clock and queue
@@ -139,15 +137,13 @@ class SimEngine:
         kind: EventKind,
         fn: Callable[[SimTime, Any], None],
         payload: Any = None,
-    ) -> Event:
+    ) -> None:
         """Queue ``fn(time, payload)`` for dispatch at ``time``."""
         time = int(time)
         if time < self._now:
             raise TimeTravel(f"cannot schedule at {time}us, clock is at {self._now}us")
-        ev = Event(time, self._seq, kind, fn, payload)
+        heapq.heappush(self._heap, (time, self._seq, kind, fn, payload))
         self._seq += 1
-        heapq.heappush(self._heap, (time, ev.seq, ev))
-        return ev
 
     def run_until(self, t: SimTime) -> int:
         """Dispatch every event with time <= t; leave the clock exactly at t.
@@ -158,13 +154,17 @@ class SimEngine:
         if t < self._now:
             raise TimeTravel(f"cannot run backwards to {t}us from {self._now}us")
         heap = self._heap
+        pop = heapq.heappop
+        buf = self._hash_buf
         n = 0
         while heap and heap[0][0] <= t:
-            time_us, seq, ev = heapq.heappop(heap)
+            time_us, seq, kind, fn, payload = pop(heap)
             self._now = time_us
-            if self._hasher is not None:
-                self._hasher.update(b"%d,%d,%s;" % (time_us, seq, ev.kind.name.encode()))
-            ev.fn(time_us, ev.payload)
+            if buf is not None:
+                buf.append(b"%d,%d,%s;" % (time_us, seq, _KIND_NAMES[id(kind)]))
+                if len(buf) >= HASH_BATCH:
+                    self._flush_hash()
+            fn(time_us, payload)
             n += 1
         self._now = t
         self._processed += n
@@ -200,6 +200,13 @@ class SimEngine:
     def choice(self, name: str, weights: Sequence[float]) -> int:
         return self.stream(name).choice(weights)
 
+    def _flush_hash(self) -> None:
+        self._hasher.update(b"".join(self._hash_buf))
+        self._hash_buf.clear()
+
     def event_hash(self) -> str | None:
         """Hex digest over the dispatched (time, seq, kind) sequence, if enabled."""
-        return self._hasher.hexdigest() if self._hasher is not None else None
+        if self._hasher is None:
+            return None
+        self._flush_hash()
+        return self._hasher.hexdigest()

@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .engine import US_PER_S
+
 # ----------------------------------------------------------------------
 # typed undefined / error conditions
 
@@ -344,8 +346,6 @@ def monitor_growth_check(series_by_n: dict[int, list]) -> GrowthResult:
 # ----------------------------------------------------------------------
 # windowed KPI aggregation
 
-US_PER_S = 1_000_000
-
 
 @dataclass
 class WindowRow:
@@ -582,6 +582,7 @@ class WindowAggregator:
                 prev_latency_ms = row.mean_latency_ms
 
         c.downtime_us = min(downtime_us, c.uptime_us)
+        c.check()
 
         def _maybe(fn):
             try:

@@ -107,7 +107,7 @@ _PACKET_FROZEN = frozenset(
 )
 
 
-@dataclass
+@dataclass(init=False)
 class Packet:
     """A unit of traffic.
 
@@ -117,6 +117,10 @@ class Packet:
     emitted the packet, ``measured`` marks it as part of the user-facing
     benign workload that KPIs are computed over, and ``route``/``hop`` carry
     the forwarding state.
+
+    ``__init__`` validates the arguments and fills the instance dict in one
+    step; the immutability guard in ``__setattr__`` covers every write after
+    construction.
     """
 
     id: int
@@ -137,23 +141,67 @@ class Packet:
     route: tuple[NodeId, ...] | None = None
     hop: int = 0
 
+    def __init__(
+        self,
+        id: int,
+        src: NodeId,
+        dst: NodeId,
+        size: int,
+        protocol: str,
+        cls: PacketClass,
+        tag: str,
+        created_at: int,
+        threat_kind: ThreatKind | None = None,
+        delivered_at: int | None = None,
+        origin: str = "",
+        measured: bool = False,
+        is_request: bool = False,
+        response_size: int = 0,
+        rtt_anchor: int | None = None,
+        route: tuple[NodeId, ...] | None = None,
+        hop: int = 0,
+    ) -> None:
+        if not MIN_PACKET_BYTES <= size <= MAX_PACKET_BYTES:
+            raise ValueError(
+                f"packet size {size} outside "
+                f"[{MIN_PACKET_BYTES}, {MAX_PACKET_BYTES}] bytes"
+            )
+        if cls is PacketClass.THREAT and threat_kind is None:
+            raise ValueError("threat packets must carry a threat kind")
+        if delivered_at is not None and delivered_at < created_at:
+            raise ValueError(
+                f"delivery at {delivered_at}us precedes creation at {created_at}us"
+            )
+        self.__dict__.update(
+            {
+                "id": id,
+                "src": src,
+                "dst": dst,
+                "size": size,
+                "protocol": protocol,
+                "cls": cls,
+                "tag": tag,
+                "created_at": created_at,
+                "threat_kind": threat_kind,
+                "delivered_at": delivered_at,
+                "origin": origin,
+                "measured": measured,
+                "is_request": is_request,
+                "response_size": response_size,
+                "rtt_anchor": rtt_anchor,
+                "route": route,
+                "hop": hop,
+            }
+        )
+
     def __setattr__(self, name: str, value) -> None:
-        if name in _PACKET_FROZEN and name in self.__dict__:
+        if name in _PACKET_FROZEN:
             raise AttributeError(f"packet field {name!r} is immutable")
         if name == "delivered_at" and value is not None and value < self.created_at:
             raise ValueError(
                 f"delivery at {value}us precedes creation at {self.created_at}us"
             )
-        super().__setattr__(name, value)
-
-    def __post_init__(self) -> None:
-        if not MIN_PACKET_BYTES <= self.size <= MAX_PACKET_BYTES:
-            raise ValueError(
-                f"packet size {self.size} outside "
-                f"[{MIN_PACKET_BYTES}, {MAX_PACKET_BYTES}] bytes"
-            )
-        if self.cls is PacketClass.THREAT and self.threat_kind is None:
-            raise ValueError("threat packets must carry a threat kind")
+        object.__setattr__(self, name, value)
 
     @property
     def class_label(self) -> str:

@@ -17,6 +17,7 @@ for offline rollups and assertions.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 from .engine import EventKind, SimEngine, SimTime, US_PER_S, seconds
@@ -53,8 +54,8 @@ class DirectionalQueue:
 
     def __init__(self, link: Link):
         self.link = link
-        self.hi: list[Packet] = []
-        self.lo: list[Packet] = []
+        self.hi: deque[Packet] = deque()
+        self.lo: deque[Packet] = deque()
         self.busy = False
 
     def __len__(self) -> int:
@@ -278,7 +279,7 @@ class NetworkSim:
         )
 
     def _start_service(self, dq: DirectionalQueue, t: SimTime) -> None:
-        packet = (dq.hi or dq.lo).pop(0)
+        packet = (dq.hi or dq.lo).popleft()
         dq.busy = True
         tx = service_time_us(packet.size, dq.link.bandwidth_bps)
         self.engine.schedule(

@@ -352,7 +352,6 @@ def _reduction_pct(baseline: float | None, improved: float | None, what: str) ->
 
 def _measure(result: ScenarioResult, name: str) -> float:
     """Resolve a calibration-target name to a measured value."""
-    r = result  # noqa: F841 - readability alias
 
     def report(label: str) -> KpiReport:
         return result.row(label).result.report

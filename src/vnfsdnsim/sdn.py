@@ -81,6 +81,12 @@ class Controller:
         # (key, priority) -> rule; at most one active rule per pair.
         self._rules: dict[tuple[FlowKey, int], FlowRule] = {}
         self._routes: dict[tuple[NodeId, NodeId], tuple[NodeId, ...]] = {}
+        # (src, dst, hot link) -> route with that link penalised, None when
+        # there is none.  The topology and the penalty never change, so the
+        # entry stays valid for the controller's life.
+        self._penalised: dict[
+            tuple[NodeId, NodeId, frozenset[NodeId]], tuple[NodeId, ...] | None
+        ] = {}
         self.rules_installed = 0
         self.reroutes = 0
 
@@ -223,11 +229,16 @@ class Controller:
         for (src, dst), path in list(self._routes.items()):
             if not _path_uses(path, hot):
                 continue
-            try:
-                alternative = self.compute_route(src, dst, latency_penalty=penalty)
-            except NoPath:
-                continue
-            if alternative != path:
+            memo_key = (src, dst, hot)
+            if memo_key in self._penalised:
+                alternative = self._penalised[memo_key]
+            else:
+                try:
+                    alternative = self.compute_route(src, dst, latency_penalty=penalty)
+                except NoPath:
+                    alternative = None
+                self._penalised[memo_key] = alternative
+            if alternative is not None and alternative != path:
                 self._routes[(src, dst)] = alternative
                 moved.append((src, dst, alternative))
                 self.reroutes += 1

@@ -8,9 +8,12 @@ consulted.
 The packet filter realises tag-set admission: a packet is forwarded only
 when its tag is in the authorised set and it is not an access violation,
 otherwise it is blocked with a policy-mismatch reason.  The capture
-function implements monitor-mode recording: every packet presented while
-monitoring is active is appended to an in-memory buffer and counted, and
-``stop_and_save`` persists the buffer as one line-delimited record file.
+function implements monitor-mode recording.  While monitoring is active the
+runtime hands it every packet the chain blocks at a switch; packets that
+the chain forwards, or that an installed drop rule consumes before the
+chain, are not captured.  Each captured packet is appended to an in-memory
+buffer and counted, and ``stop_and_save`` persists the buffer as one
+line-delimited record file.
 """
 
 from __future__ import annotations
@@ -280,7 +283,7 @@ class CaptureVnf:
         self.capture_count = 0
 
     def capture(self, packet: Packet, verdict: Verdict, now_us: int) -> CaptureRecord:
-        """Record one presented packet and bump the running count."""
+        """Record one packet and bump the running count."""
         if not self.monitoring:
             raise MonitoringStopped("capture invoked after monitoring stopped")
         record = CaptureRecord(

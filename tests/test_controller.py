@@ -209,3 +209,27 @@ def test_congestion_keeps_flows_with_no_alternative():
     assert controller.route(0, 2) == (0, 1, 2)
     assert controller.handle_congestion((0, 1), occupancy=1.0) == []
     assert controller.reroutes == 0 and controller.route(0, 2) == (0, 1, 2)
+
+
+def test_congestion_memoises_penalised_routes(monkeypatch):
+    topology = build_topology(StarSpec(hosts=3))
+    switch = topology.by_name("switch0").id
+    server = topology.by_name("server0").id
+    controller = Controller(topology)
+    for i in range(3):
+        controller.route(topology.by_name(f"host{i}").id, server)
+    calls = []
+    compute = controller.compute_route
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return compute(*args, **kwargs)
+
+    monkeypatch.setattr(controller, "compute_route", counting)
+    trunk = (switch, server)
+    assert controller.handle_congestion(trunk, occupancy=1.0) == []
+    assert len(calls) == 3  # one penalised search per cached host route
+    calls.clear()
+    assert controller.handle_congestion(trunk, occupancy=1.0) == []
+    assert calls == []
+    assert controller.reroutes == 0

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from vnfsdnsim.engine import (
+    HASH_BATCH,
     EventKind,
     RngStream,
     SimEngine,
@@ -81,6 +82,24 @@ def test_event_hash_distinguishes_orderings():
         return engine.event_hash()
 
     assert run([1, 2, 3]) != run([1, 3, 2])
+
+
+def test_event_hash_golden_value_across_flush_batches():
+    # The digest is over b"%d,%d,%s;" % (time, seq, kind name) per event;
+    # batching the hasher's input must not change it.
+    def run(hash_events):
+        engine = SimEngine(7, hash_events=hash_events)
+        kinds = list(EventKind)
+        for i in range(12_000):
+            engine.schedule((i * 7919) % 5_000, kinds[i % len(kinds)], lambda t, p: None)
+        engine.run_until(2_500)
+        engine.run_until(10_000)
+        assert engine.processed == 12_000
+        return engine.event_hash()
+
+    assert 12_000 > 2 * HASH_BATCH
+    assert run(True) == "08ca35e3d6356ce24ef5ed7f286fbffb1f174d9ec3259b268827a5e483f3fe85"
+    assert run(False) is None
 
 
 def test_streams_must_be_registered_before_use():

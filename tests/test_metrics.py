@@ -186,6 +186,15 @@ def test_counter_invariants_rejected():
         KpiCounters(total_packets=-1).check()
 
 
+def test_finalize_rejects_inconsistent_counters():
+    agg = WindowAggregator(window_s=1.0)
+    agg.feed(("emit", 10, 1, "benign", True, 100, "b/a", 0, 1, "t"))
+    agg.feed(("deliver", 100, 1, "benign", True, 100, 90, 1))
+    agg.feed(("deliver", 200, 2, "benign", True, 100, 90, 1))  # never emitted
+    with pytest.raises(ValueError, match="dispositions exceed emitted packets"):
+        agg.finalize(SECOND, devices_total=2)
+
+
 # ----------------------------------------------------------------------
 # analytic strength model
 

@@ -3,6 +3,9 @@
 import pytest
 
 from vnfsdnsim.model import (
+    _PACKET_FROZEN,
+    MAX_PACKET_BYTES,
+    MIN_PACKET_BYTES,
     CustomSpec,
     LinkParams,
     Node,
@@ -133,20 +136,37 @@ def _packet(**overrides):
 
 
 def test_packet_identity_fields_are_frozen():
-    pkt = _packet()
+    pkt = _packet(cls=PacketClass.THREAT, threat_kind=ThreatKind.SYN_FLOOD)
     for field_name, value in [("id", 2), ("src", 5), ("size", 9), ("tag", "x")]:
         with pytest.raises((AttributeError, TypeError)):
             setattr(pkt, field_name, value)
+    for field_name in sorted(_PACKET_FROZEN) + ["class_label", "latency_us"]:
+        with pytest.raises(AttributeError):
+            setattr(pkt, field_name, getattr(pkt, field_name))
     # plumbing fields stay writable
     pkt.hop = 3
+    pkt.route = (0, 1, 2)
     pkt.delivered_at = 2000
-    assert pkt.latency_us == 1000
+    assert (pkt.hop, pkt.route, pkt.latency_us) == (3, (0, 1, 2), 1000)
 
 
 def test_packet_delivery_before_creation_rejected():
     pkt = _packet()
     with pytest.raises(ValueError):
         pkt.delivered_at = 500
+    with pytest.raises(ValueError):
+        _packet(delivered_at=999)
+    assert _packet(delivered_at=1000).latency_us == 0
+
+
+def test_packet_construction_validates_size_and_threat_kind():
+    for size in (MIN_PACKET_BYTES - 1, MAX_PACKET_BYTES + 1):
+        with pytest.raises(ValueError):
+            _packet(size=size)
+    with pytest.raises(ValueError):
+        _packet(cls=PacketClass.THREAT)
+    assert _packet(size=MIN_PACKET_BYTES).size == MIN_PACKET_BYTES
+    assert _packet(size=MAX_PACKET_BYTES).size == MAX_PACKET_BYTES
 
 
 def test_packet_class_label_carries_threat_kind():
