@@ -31,8 +31,6 @@ from .metrics import (
     check_hypothesis1,
     exposure_ratio,
     kpi_rollup,
-    monitor_growth_check,
-    monitored_traffic,
     reliability_ratio,
     secure_traffic_pct,
     security_integral,

@@ -216,6 +216,20 @@ def _ddos(d: dict, where: str) -> DdosProfile:
     )
 
 
+def _firewall_rule(d: dict, where: str) -> FirewallRuleSpec:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be an object")
+    unknown = sorted(set(d) - {"action", "src", "dst", "protocol"})
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
+    action = _require(d, "action", where)
+    if action not in ("allow", "deny"):
+        raise ConfigError(f"action in {where} must be allow or deny, got {action!r}")
+    return FirewallRuleSpec(
+        action=action, src=d.get("src"), dst=d.get("dst"), protocol=d.get("protocol")
+    )
+
+
 def _access(d: dict, where: str) -> AccessProfile:
     return AccessProfile(
         name=_require(d, "name", where),
@@ -296,13 +310,8 @@ def from_dict(tree: dict) -> ScenarioConfig:
     security = SecuritySettings(
         configs=labels,
         firewall_rules=tuple(
-            FirewallRuleSpec(
-                action=_require(r, "action", "security.firewall_rules"),
-                src=r.get("src"),
-                dst=r.get("dst"),
-                protocol=r.get("protocol"),
-            )
-            for r in sec.get("firewall_rules", ())
+            _firewall_rule(r, f"security.firewall_rules[{i}]")
+            for i, r in enumerate(sec.get("firewall_rules", ()))
         ),
         ids=IdsSettings(
             signatures=tuple(ids_d.get("signatures", ())),

@@ -21,7 +21,7 @@ The aggregation layer folds a run's event trace into per-second windows
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .engine import US_PER_S
 
@@ -51,10 +51,6 @@ class ZeroWindow(Exception):
 
 class NonPositiveIntegrand(Exception):
     """The security-strength curve dipped to zero or below."""
-
-
-class InsufficientSeries(Exception):
-    """The growth check needs at least three network sizes."""
 
 
 class EmptyTrace(Exception):
@@ -272,79 +268,17 @@ def check_hypothesis1(
 
 
 # ----------------------------------------------------------------------
-# monitored-traffic model
+# windowed KPI aggregation
 
 #: Class weighting applied to monitored bytes; hostile classes count double.
-DEFAULT_CLASS_WEIGHTS = {
+CLASS_WEIGHTS = {
     "benign": 1.0,
     "threat": 2.0,
     "unauthorized_access": 2.0,
 }
 
-
-@dataclass(frozen=True)
-class MonitorSample:
-    """One observation interval: (weight, magnitude-in-bytes) per packet."""
-
-    time_us: int
-    pairs: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        for w, m in self.pairs:
-            if w <= 0:
-                raise ValueError(f"class weights must be positive, got {w}")
-            if m < 0:
-                raise ValueError(f"magnitudes must be non-negative, got {m}")
-
-
-def monitored_traffic(sample: MonitorSample) -> float:
-    """Weighted monitored volume of one interval: sum of weight * magnitude."""
-    return sum(w * m for w, m in sample.pairs)
-
-
-@dataclass(frozen=True)
-class GrowthResult:
-    integrals: tuple[tuple[int, float], ...]  # (n, integral of sqrt(M))
-    non_decreasing: bool
-
-
-def monitor_growth_check(series_by_n: dict[int, list]) -> GrowthResult:
-    """Check that monitoring load grows with network size.
-
-    ``series_by_n`` maps a network size to its sampled monitoring series:
-    either ``MonitorSample`` objects or raw (time_s, monitored volume)
-    pairs.  Each series is integrated as sqrt(volume) by the trapezoid
-    rule; the verdict holds when the integrals are non-decreasing in n.
-    At least three sizes are required for a meaningful trend.
-    """
-    if len(series_by_n) < 3:
-        raise InsufficientSeries(
-            f"need series for >= 3 network sizes, got {len(series_by_n)}"
-        )
-    integrals = []
-    for n in sorted(series_by_n):
-        series = [
-            (s.time_us / US_PER_S, monitored_traffic(s))
-            if isinstance(s, MonitorSample)
-            else s
-            for s in series_by_n[n]
-        ]
-        if len(series) < 2:
-            raise InsufficientSeries(f"series for n={n} has fewer than 2 samples")
-        total = 0.0
-        for (t0, m0), (t1, m1) in zip(series, series[1:]):
-            if t1 < t0:
-                raise ValueError(f"series for n={n} is not time-ordered")
-            total += (math.sqrt(max(m0, 0.0)) + math.sqrt(max(m1, 0.0))) / 2 * (t1 - t0)
-        integrals.append((n, total))
-    non_decreasing = all(
-        integrals[i + 1][1] >= integrals[i][1] for i in range(len(integrals) - 1)
-    )
-    return GrowthResult(tuple(integrals), non_decreasing)
-
-
-# ----------------------------------------------------------------------
-# windowed KPI aggregation
+#: A window whose availability falls below this counts as downtime.
+DOWNTIME_AVAILABILITY_PCT = 50.0
 
 
 @dataclass
@@ -374,14 +308,6 @@ class WindowRow:
 
 
 @dataclass
-class LatencySeries:
-    """Raw per-window samples, retained only when requested (tests, plots)."""
-
-    one_way: list[tuple[int, int, int]] = field(default_factory=list)  # (window, pkt, us)
-    rtt: list[tuple[int, int, int]] = field(default_factory=list)  # (window, pkt, us)
-
-
-@dataclass
 class KpiReport:
     """Whole-run KPIs plus the per-window table they were folded from."""
 
@@ -408,7 +334,6 @@ class KpiReport:
     benign_delivered: int
     benign_loss_total: int
     detection_samples: int
-    series: LatencySeries | None = None
 
 
 class WindowAggregator:
@@ -419,24 +344,13 @@ class WindowAggregator:
     collected trace reproduces the streaming result record for record.
     """
 
-    def __init__(
-        self,
-        window_s: float = 1.0,
-        *,
-        class_weights: dict[str, float] | None = None,
-        memory_base_mb: float = 64.0,
-        downtime_availability_pct: float = 50.0,
-        retain_samples: bool = False,
-    ):
+    def __init__(self, window_s: float = 1.0, *, memory_base_mb: float = 64.0):
         if window_s <= 0:
             raise ZeroWindow(f"window length must be positive, got {window_s}")
         self.window_s = window_s
         self.window_us = int(window_s * US_PER_S)
-        self.class_weights = dict(class_weights or DEFAULT_CLASS_WEIGHTS)
         self.memory_base_mb = memory_base_mb
-        self.downtime_availability_pct = downtime_availability_pct
         self.counters = KpiCounters()
-        self.series = LatencySeries() if retain_samples else None
         self._affected: set[int] = set()
         self._latency: dict[int, list[int]] = {}
         self._rtt: dict[int, list[int]] = {}
@@ -466,7 +380,7 @@ class WindowAggregator:
             _, t, _pkt, cls, measured, size, origin = rec[:7]
             row = self._row(t)
             c.total_packets += 1
-            weight = self.class_weights.get(cls, 1.0)
+            weight = CLASS_WEIGHTS.get(cls, 1.0)
             row.monitored_weighted_bytes += weight * size
             if cls == "threat":
                 c.threat_packets += 1
@@ -479,7 +393,7 @@ class WindowAggregator:
             if measured:
                 row.sent_benign += 1
         elif kind == "deliver":
-            _, t, pkt, cls, measured, size, latency_us, dst = rec[:8]
+            _, t, _pkt, cls, measured, size, latency_us, dst = rec[:8]
             row = self._row(t)
             c.delivered_packets += 1
             if cls == "threat":
@@ -490,8 +404,6 @@ class WindowAggregator:
                     self._delivered_bits.get(row.index, 0) + size * 8
                 )
                 self._latency.setdefault(row.index, []).append(latency_us)
-                if self.series is not None:
-                    self.series.one_way.append((row.index, pkt, latency_us))
         elif kind == "qdrop":
             _, t, _pkt, cls, measured = rec[:5]
             row = self._row(t)
@@ -513,11 +425,9 @@ class WindowAggregator:
             if measured:
                 row.benign_blocked += 1
         elif kind == "rtt":
-            _, t, pkt, rtt_us = rec[:4]
+            _, t, _pkt, rtt_us = rec[:4]
             row = self._row(t)
             self._rtt.setdefault(row.index, []).append(rtt_us)
-            if self.series is not None:
-                self.series.rtt.append((row.index, pkt, rtt_us))
         elif kind == "cost":
             _, t, cost_us = rec[:3]
             idx = t // self.window_us
@@ -564,7 +474,7 @@ class WindowAggregator:
                 row.availability_pct = min(
                     100.0, row.delivered_benign / row.sent_benign * 100.0
                 )
-                if row.availability_pct < self.downtime_availability_pct:
+                if row.availability_pct < DOWNTIME_AVAILABILITY_PCT:
                     downtime_us += self.window_us
             row.cpu_pct = self._cost_us.get(row.index, 0) / self.window_us * 100.0
             mem_last = self._mem.get(row.index, mem_last)
@@ -639,7 +549,6 @@ class WindowAggregator:
             benign_delivered=benign_delivered,
             benign_loss_total=cumulative_loss,
             detection_samples=len(self._detections),
-            series=self.series,
         )
 
 

@@ -100,10 +100,8 @@ class NetworkSim:
         window_s: float = 1.0,
         monitor_interval_s: float = 1.0,
         memory_base_mb: float = 64.0,
-        downtime_availability_pct: float = 50.0,
         qos_priority: bool = False,
         collect_trace: bool = False,
-        retain_samples: bool = False,
         label: str = "run",
     ):
         self.topology = topology
@@ -126,12 +124,7 @@ class NetworkSim:
             default=0,
         )
         self.label = label
-        self.aggregator = WindowAggregator(
-            window_s,
-            memory_base_mb=memory_base_mb,
-            downtime_availability_pct=downtime_availability_pct,
-            retain_samples=retain_samples,
-        )
+        self.aggregator = WindowAggregator(window_s, memory_base_mb=memory_base_mb)
         self.trace: list[tuple] | None = [] if collect_trace else None
 
         self._queues: dict[tuple[NodeId, NodeId], DirectionalQueue] = {}
@@ -315,8 +308,6 @@ class NetworkSim:
         if decision == "drop":
             self._block(packet, t, rule.reason or "flow_rule")
             return False
-        if decision == "forward":
-            return True
         verdict, cost = self.chain.process(packet, t)
         if self.capture is not None and self.capture.monitoring and not verdict.forward:
             # The capture tap keeps evidence of what the chain rejected.

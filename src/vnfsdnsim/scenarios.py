@@ -22,9 +22,11 @@ import json
 import math
 import re
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import cache
 from importlib import resources
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .config import (
     ConfigError,
@@ -147,8 +149,6 @@ def run_one(
     *,
     hosts: int | None = None,
     out_dir: str | Path | None = None,
-    collect_trace: bool = False,
-    retain_samples: bool = False,
 ) -> RunResult:
     """Execute one (security config, topology size) cell of a scenario."""
     star = cfg.topology if hosts is None else replace(cfg.topology, hosts=hosts)
@@ -175,8 +175,6 @@ def run_one(
         window_s=cfg.window_s,
         monitor_interval_s=cfg.monitor_interval_s,
         memory_base_mb=cfg.memory_base_mb,
-        collect_trace=collect_trace,
-        retain_samples=retain_samples,
         label=label,
     )
     sim.attach_traffic(
@@ -454,69 +452,56 @@ def compare_to_targets(
 
 # ----------------------------------------------------------------------
 # emission
+#
+# Each record kind has one column table.  The emitters read every column
+# from it, and load_results parses every column back through it, so a
+# column's name, position, owner and value type are stated once.
 
-_WINDOW_COLUMNS = (
-    "window",
-    "start_s",
-    "sent_benign",
-    "delivered_benign",
-    "benign_queue_drops",
-    "benign_blocked",
-    "threat_sent",
-    "threat_blocked",
-    "unauthorized_sent",
-    "unauthorized_blocked",
-    "mean_latency_ms",
-    "jitter_ms",
-    "mean_rtt_ms",
-    "throughput_mbps",
-    "availability_pct",
-    "cpu_pct",
-    "memory_mb",
-    "tdr",
-    "monitored_weighted_bytes",
-    "cumulative_benign_loss",
+
+@cache
+def _value_type(owner: type, attr: str) -> type:
+    """The type a dataclass field holds (int, float or str), None stripped."""
+    hint = get_type_hints(owner)[attr]
+    return next(t for t in get_args(hint) or (hint,) if t is not type(None))
+
+
+# Window columns: the WindowRow fields in declaration order, with ``index``
+# written as ``window``.
+_WINDOW_COLUMNS = tuple(
+    ("window" if f.name == "index" else f.name, f) for f in fields(WindowRow)
 )
 
+
+def _columns(owner: type | None, *names: str) -> tuple[tuple, ...]:
+    return tuple((name, owner, name) for name in names)
+
+
+# Summary columns in file order: (column, owner, attribute).  Owner None
+# marks a column derived from the whole row; the others are read from the
+# run, its report or the report's counters.
 _SUMMARY_COLUMNS = (
-    "scenario",
-    "config",
-    "hosts",
-    "seed",
-    "duration_s",
-    "secure_traffic_pct",
-    "tdr",
-    "ubr",
-    "exposure",
-    "access_outcome",
-    "reliability",
-    "mean_latency_ms",
-    "jitter_ms",
-    "mean_rtt_ms",
-    "detection_time_ms",
-    "response_time_ms",
-    "throughput_mbps",
-    "availability_pct",
-    "availability_min_pct",
-    "availability_peak_pct",
-    "cpu_pct",
-    "memory_mb_mean",
-    "memory_mb_max",
-    "benign_sent",
-    "benign_delivered",
-    "benign_loss_total",
-    "total_packets",
-    "delivered_packets",
-    "blocked_packets",
-    "queue_dropped",
-    "threat_packets",
-    "blocked_threats",
-    "unauthorized_attempts",
-    "blocked_unauthorized",
-    "rules_installed",
-    "reroutes",
-    "events_processed",
-    "event_hash",
+    *_columns(None, "scenario", "config", "hosts"),
+    *_columns(RunResult, "seed", "duration_s"),
+    *_columns(
+        KpiReport,
+        "secure_traffic_pct", "tdr", "ubr", "exposure", "access_outcome",
+        "reliability", "mean_latency_ms", "jitter_ms", "mean_rtt_ms",
+        "detection_time_ms", "response_time_ms", "throughput_mbps", "availability_pct",
+    ),
+    *_columns(None, "availability_min_pct", "availability_peak_pct"),
+    *_columns(
+        KpiReport,
+        "cpu_pct", "memory_mb_mean", "memory_mb_max",
+        "benign_sent", "benign_delivered", "benign_loss_total",
+    ),
+    *_columns(
+        KpiCounters,
+        "total_packets", "delivered_packets", "blocked_packets", "queue_dropped",
+        "threat_packets",
+    ),
+    ("blocked_threats", KpiCounters, "blocked_threat_packets"),
+    *_columns(KpiCounters, "unauthorized_attempts", "blocked_unauthorized"),
+    *_columns(RunResult, "rules_installed", "reroutes", "events_processed", "event_hash"),
 )
 
 
@@ -537,77 +522,34 @@ def _round6(value):
     return value
 
 
-def _window_object(w) -> dict:
-    return {
-        "kind": "window",
-        "window": w.index,
-        "start_s": _round6(w.start_s),
-        "sent_benign": w.sent_benign,
-        "delivered_benign": w.delivered_benign,
-        "benign_queue_drops": w.benign_queue_drops,
-        "benign_blocked": w.benign_blocked,
-        "threat_sent": w.threat_sent,
-        "threat_blocked": w.threat_blocked,
-        "unauthorized_sent": w.unauthorized_sent,
-        "unauthorized_blocked": w.unauthorized_blocked,
-        "mean_latency_ms": _round6(w.mean_latency_ms),
-        "jitter_ms": _round6(w.jitter_ms),
-        "mean_rtt_ms": _round6(w.mean_rtt_ms),
-        "throughput_mbps": _round6(w.throughput_mbps),
-        "availability_pct": _round6(w.availability_pct),
-        "cpu_pct": _round6(w.cpu_pct),
-        "memory_mb": _round6(w.memory_mb),
-        "tdr": _round6(w.tdr),
-        "monitored_weighted_bytes": _round6(w.monitored_weighted_bytes),
-        "cumulative_benign_loss": w.cumulative_benign_loss,
-    }
+def _parse(text: str, kind: type, default=None):
+    """Inverse of ``_cell`` for one value of type ``kind``."""
+    return default if text == "" else kind(text)
+
+
+def _window_object(w: WindowRow) -> dict:
+    obj = {"kind": "window"}
+    for col, f in _WINDOW_COLUMNS:
+        obj[col] = _round6(getattr(w, f.name))
+    return obj
 
 
 def _summary_object(scenario: int, row: RunRow) -> dict:
     rep = row.result.report
-    c = rep.counters
     avail = [w.availability_pct for w in rep.windows if w.availability_pct is not None]
-    return {
-        "kind": "summary",
+    derived = {
         "scenario": scenario,
         "config": row.label,
         "hosts": row.hosts,
-        "seed": row.result.seed,
-        "duration_s": _round6(row.result.duration_s),
-        "secure_traffic_pct": _round6(rep.secure_traffic_pct),
-        "tdr": _round6(rep.tdr),
-        "ubr": _round6(rep.ubr),
-        "exposure": _round6(rep.exposure),
-        "access_outcome": _round6(rep.access_outcome),
-        "reliability": _round6(rep.reliability),
-        "mean_latency_ms": _round6(rep.mean_latency_ms),
-        "jitter_ms": _round6(rep.jitter_ms),
-        "mean_rtt_ms": _round6(rep.mean_rtt_ms),
-        "detection_time_ms": _round6(rep.detection_time_ms),
-        "response_time_ms": _round6(rep.response_time_ms),
-        "throughput_mbps": _round6(rep.throughput_mbps),
-        "availability_pct": _round6(rep.availability_pct),
-        "availability_min_pct": _round6(min(avail)) if avail else None,
-        "availability_peak_pct": _round6(max(avail)) if avail else None,
-        "cpu_pct": _round6(rep.cpu_pct),
-        "memory_mb_mean": _round6(rep.memory_mb_mean),
-        "memory_mb_max": _round6(rep.memory_mb_max),
-        "benign_sent": rep.benign_sent,
-        "benign_delivered": rep.benign_delivered,
-        "benign_loss_total": rep.benign_loss_total,
-        "total_packets": c.total_packets,
-        "delivered_packets": c.delivered_packets,
-        "blocked_packets": c.blocked_packets,
-        "queue_dropped": c.queue_dropped,
-        "threat_packets": c.threat_packets,
-        "blocked_threats": c.blocked_threat_packets,
-        "unauthorized_attempts": c.unauthorized_attempts,
-        "blocked_unauthorized": c.blocked_unauthorized,
-        "rules_installed": row.result.rules_installed,
-        "reroutes": row.result.reroutes,
-        "events_processed": row.result.events_processed,
-        "event_hash": row.result.event_hash,
+        "availability_min_pct": min(avail) if avail else None,
+        "availability_peak_pct": max(avail) if avail else None,
     }
+    owners = {RunResult: row.result, KpiReport: rep, KpiCounters: rep.counters}
+    obj = {"kind": "summary"}
+    for col, owner, attr in _SUMMARY_COLUMNS:
+        value = derived[col] if owner is None else getattr(owners[owner], attr)
+        obj[col] = _round6(value)
+    return obj
 
 
 def _result_object(result: ScenarioResult) -> dict:
@@ -623,6 +565,19 @@ def _result_object(result: ScenarioResult) -> dict:
             for row in result.rows
         ],
     }
+
+
+def _cells(objs, header):
+    """CSV rows of record objects, cells in header order."""
+    return ([_cell(obj[col]) for col in header] for obj in objs)
+
+
+def _write_csv(path: Path, header, rows) -> Path:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
 
 
 _NDREC_JSON = {"sort_keys": True, "separators": (",", ":")}
@@ -642,23 +597,15 @@ def emit_results(
     paths: list[Path] = []
 
     if "csv" in formats:
+        header = [col for col, _ in _WINDOW_COLUMNS]
         for row in result.rows:
+            objs = map(_window_object, row.result.report.windows)
             path = out / f"s{result.scenario}_{row.label}_{result.seed}.csv"
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(_WINDOW_COLUMNS)
-                for w in row.result.report.windows:
-                    obj = _window_object(w)
-                    writer.writerow(_cell(obj[col]) for col in _WINDOW_COLUMNS)
-            paths.append(path)
+            paths.append(_write_csv(path, header, _cells(objs, header)))
+        header = [col for col, _, _ in _SUMMARY_COLUMNS]
+        objs = (_summary_object(result.scenario, row) for row in result.rows)
         path = out / f"s{result.scenario}_summary_{result.seed}.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_SUMMARY_COLUMNS)
-            for row in result.rows:
-                obj = _summary_object(result.scenario, row)
-                writer.writerow(_cell(obj[col]) for col in _SUMMARY_COLUMNS)
-        paths.append(path)
+        paths.append(_write_csv(path, header, _cells(objs, header)))
         paths.extend(_emit_plotdata(result, out))
 
     if "records" in formats:
@@ -685,184 +632,96 @@ def emit_results(
     return paths
 
 
-# Figure analogs emitted per scenario: availability and cumulative-loss
-# series for the five S1 configs; the size sweep; per-window response and
-# resource series; the S4 latency/jitter/throughput series; the S5
-# availability and resource series.
-_FIGS_BY_SCENARIO = {
-    1: ("5a", "5b"),
-    2: ("6",),
-    3: ("7",),
-    4: ("8",),
-    5: ("9", "10"),
-    6: (),
+# Per-window figure analogs of each scenario: figure -> {column prefix:
+# WindowRow field}.  S1 availability and cumulative loss; per-window
+# response and resource series; the S4 latency/jitter/throughput series;
+# the S5 availability and resource series.  Scenario 2's size sweep
+# (figure 6) has one row per run instead; see ``_sweep_csv``.
+_SERIES_FIGURES = {
+    1: {"5a": {"avail": "availability_pct"}, "5b": {"loss": "cumulative_benign_loss"}},
+    3: {
+        "7": {
+            "rtt": "mean_rtt_ms",
+            "avail": "availability_pct",
+            "cpu": "cpu_pct",
+            "mem": "memory_mb",
+        }
+    },
+    4: {
+        "8": {
+            "latency": "mean_latency_ms",
+            "jitter": "jitter_ms",
+            "throughput": "throughput_mbps",
+        }
+    },
+    5: {"9": {"avail": "availability_pct"}, "10": {"cpu": "cpu_pct", "mem": "memory_mb"}},
 }
+
+_SWEEP_FIELDS = (
+    "detection_time_ms",
+    "mean_latency_ms",
+    "benign_loss_total",
+    "throughput_mbps",
+    "cpu_pct",
+    "memory_mb_max",
+)
 
 
 def _series_csv(
-    out: Path, fig: str, result: ScenarioResult, fields: dict[str, str]
+    out: Path, fig: str, result: ScenarioResult, series: dict[str, str]
 ) -> Path:
     """One row per window; one column group per (field, config)."""
     n_windows = max((len(r.result.report.windows) for r in result.rows), default=0)
-    path = out / f"plotdata_fig{fig}.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["window"]
-        for prefix in fields:
-            header.extend(f"{prefix}_{row.label}" for row in result.rows)
-        writer.writerow(header)
-        for i in range(n_windows):
-            cells = [str(i)]
-            for attr in fields.values():
-                for row in result.rows:
-                    windows = row.result.report.windows
-                    value = getattr(windows[i], attr) if i < len(windows) else None
-                    cells.append(_cell(value))
-            writer.writerow(cells)
-    return path
+    header = ["window"]
+    for prefix in series:
+        header.extend(f"{prefix}_{row.label}" for row in result.rows)
+    rows = []
+    for i in range(n_windows):
+        cells = [str(i)]
+        for attr in series.values():
+            for row in result.rows:
+                windows = row.result.report.windows
+                value = getattr(windows[i], attr) if i < len(windows) else None
+                cells.append(_cell(value))
+        rows.append(cells)
+    return _write_csv(out / f"plotdata_fig{fig}.csv", header, rows)
+
+
+def _sweep_csv(out: Path, result: ScenarioResult) -> Path:
+    """Figure 6: one row per (size, config) run."""
+    return _write_csv(
+        out / "plotdata_fig6.csv",
+        ("hosts", "config", *_SWEEP_FIELDS),
+        (
+            [_cell(v) for v in (row.hosts, row.label)]
+            + [_cell(getattr(row.result.report, f)) for f in _SWEEP_FIELDS]
+            for row in result.rows
+        ),
+    )
 
 
 def _emit_plotdata(result: ScenarioResult, out: Path) -> list[Path]:
-    paths = []
-    for fig in _FIGS_BY_SCENARIO.get(result.scenario, ()):
-        if fig == "5a":
-            paths.append(_series_csv(out, fig, result, {"avail": "availability_pct"}))
-        elif fig == "5b":
-            paths.append(_series_csv(out, fig, result, {"loss": "cumulative_benign_loss"}))
-        elif fig == "6":
-            path = out / "plotdata_fig6.csv"
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(
-                    (
-                        "hosts",
-                        "config",
-                        "detection_time_ms",
-                        "mean_latency_ms",
-                        "benign_loss_total",
-                        "throughput_mbps",
-                        "cpu_pct",
-                        "memory_mb_max",
-                    )
-                )
-                for row in result.rows:
-                    rep = row.result.report
-                    writer.writerow(
-                        (
-                            row.hosts,
-                            row.label,
-                            _cell(rep.detection_time_ms),
-                            _cell(rep.mean_latency_ms),
-                            rep.benign_loss_total,
-                            _cell(rep.throughput_mbps),
-                            _cell(rep.cpu_pct),
-                            _cell(rep.memory_mb_max),
-                        )
-                    )
-            paths.append(path)
-        elif fig == "7":
-            paths.append(
-                _series_csv(
-                    out,
-                    fig,
-                    result,
-                    {
-                        "rtt": "mean_rtt_ms",
-                        "avail": "availability_pct",
-                        "cpu": "cpu_pct",
-                        "mem": "memory_mb",
-                    },
-                )
-            )
-        elif fig == "8":
-            paths.append(
-                _series_csv(
-                    out,
-                    fig,
-                    result,
-                    {
-                        "latency": "mean_latency_ms",
-                        "jitter": "jitter_ms",
-                        "throughput": "throughput_mbps",
-                    },
-                )
-            )
-        elif fig == "9":
-            paths.append(_series_csv(out, fig, result, {"avail": "availability_pct"}))
-        elif fig == "10":
-            paths.append(
-                _series_csv(out, fig, result, {"cpu": "cpu_pct", "mem": "memory_mb"})
-            )
-    return paths
+    if result.scenario == 2:
+        return [_sweep_csv(out, result)]
+    return [
+        _series_csv(out, fig, result, series)
+        for fig, series in _SERIES_FIGURES.get(result.scenario, {}).items()
+    ]
 
 
 # ----------------------------------------------------------------------
 # reading emitted results back
 
-_WINDOW_INT_COLUMNS = frozenset(
-    {
-        "window",
-        "sent_benign",
-        "delivered_benign",
-        "benign_queue_drops",
-        "benign_blocked",
-        "threat_sent",
-        "threat_blocked",
-        "unauthorized_sent",
-        "unauthorized_blocked",
-        "cumulative_benign_loss",
-    }
-)
-
-_SUMMARY_INT_COLUMNS = frozenset(
-    {
-        "scenario",
-        "hosts",
-        "seed",
-        "benign_sent",
-        "benign_delivered",
-        "benign_loss_total",
-        "total_packets",
-        "delivered_packets",
-        "blocked_packets",
-        "queue_dropped",
-        "threat_packets",
-        "blocked_threats",
-        "unauthorized_attempts",
-        "blocked_unauthorized",
-        "rules_installed",
-        "reroutes",
-        "events_processed",
-    }
-)
-
-_SUMMARY_STR_COLUMNS = frozenset({"config", "event_hash"})
-
-
-def _parse_cell(column: str, text: str, ints: frozenset, strs: frozenset = frozenset()):
-    if text == "":
-        return None
-    if column in strs:
-        return text
-    if column in ints:
-        return int(text)
-    return float(text)
-
 
 def _read_windows(path: Path) -> list[WindowRow]:
-    windows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for rec in csv.DictReader(fh):
-            cells = {
-                col: _parse_cell(col, rec[col], _WINDOW_INT_COLUMNS)
-                for col in _WINDOW_COLUMNS
-            }
-            cells["index"] = cells.pop("window")
-            for col in ("throughput_mbps", "cpu_pct", "memory_mb",
-                        "monitored_weighted_bytes"):
-                cells[col] = cells[col] if cells[col] is not None else 0.0
-            windows.append(WindowRow(**cells))
-    return windows
+        return [
+            WindowRow(**{
+                f.name: _parse(rec[col], _value_type(WindowRow, f.name), f.default)
+                for col, f in _WINDOW_COLUMNS
+            })
+            for rec in csv.DictReader(fh)
+        ]
 
 
 def load_results(out_dir: str | Path) -> list[ScenarioResult]:
@@ -881,65 +740,22 @@ def load_results(out_dir: str | Path) -> list[ScenarioResult]:
         rows = []
         with open(summary_path, "r", encoding="utf-8", newline="") as fh:
             for rec in csv.DictReader(fh):
-                cells = {
-                    col: _parse_cell(
-                        col, rec[col], _SUMMARY_INT_COLUMNS, _SUMMARY_STR_COLUMNS
-                    )
-                    for col in _SUMMARY_COLUMNS
-                }
-                label = cells["config"]
+                values: dict[type, dict] = {RunResult: {}, KpiReport: {}, KpiCounters: {}}
+                for col, owner, attr in _SUMMARY_COLUMNS:
+                    if owner is not None:
+                        values[owner][attr] = _parse(rec[col], _value_type(owner, attr))
+                label = rec["config"]
                 window_path = out / f"s{scenario}_{label}_{seed}.csv"
-                windows = _read_windows(window_path) if window_path.exists() else []
-                counters = KpiCounters(
-                    total_packets=cells["total_packets"] or 0,
-                    delivered_packets=cells["delivered_packets"] or 0,
-                    blocked_packets=cells["blocked_packets"] or 0,
-                    queue_dropped=cells["queue_dropped"] or 0,
-                    threat_packets=cells["threat_packets"] or 0,
-                    blocked_threat_packets=cells["blocked_threats"] or 0,
-                    unauthorized_attempts=cells["unauthorized_attempts"] or 0,
-                    blocked_unauthorized=cells["blocked_unauthorized"] or 0,
-                )
+                run = values[RunResult]
                 report = KpiReport(
-                    duration_s=cells["duration_s"] or 0.0,
-                    counters=counters,
-                    windows=windows,
-                    secure_traffic_pct=cells["secure_traffic_pct"],
-                    tdr=cells["tdr"],
-                    ubr=cells["ubr"],
-                    exposure=cells["exposure"],
-                    access_outcome=cells["access_outcome"],
-                    reliability=cells["reliability"],
-                    mean_latency_ms=cells["mean_latency_ms"],
-                    jitter_ms=cells["jitter_ms"],
-                    mean_rtt_ms=cells["mean_rtt_ms"],
-                    detection_time_ms=cells["detection_time_ms"],
-                    response_time_ms=cells["response_time_ms"],
-                    throughput_mbps=cells["throughput_mbps"] or 0.0,
-                    availability_pct=cells["availability_pct"],
-                    cpu_pct=cells["cpu_pct"] or 0.0,
-                    memory_mb_mean=cells["memory_mb_mean"] or 0.0,
-                    memory_mb_max=cells["memory_mb_max"] or 0.0,
-                    benign_sent=cells["benign_sent"] or 0,
-                    benign_delivered=cells["benign_delivered"] or 0,
-                    benign_loss_total=cells["benign_loss_total"] or 0,
+                    duration_s=run["duration_s"],
+                    counters=KpiCounters(**values[KpiCounters]),
+                    windows=_read_windows(window_path) if window_path.exists() else [],
                     detection_samples=0,
+                    **values[KpiReport],
                 )
                 rows.append(
-                    RunRow(
-                        label,
-                        cells["hosts"] or 0,
-                        RunResult(
-                            label=label,
-                            seed=cells["seed"] or seed,
-                            duration_s=cells["duration_s"] or 0.0,
-                            report=report,
-                            events_processed=cells["events_processed"] or 0,
-                            event_hash=cells["event_hash"],
-                            rules_installed=cells["rules_installed"] or 0,
-                            reroutes=cells["reroutes"] or 0,
-                        ),
-                    )
+                    RunRow(label, int(rec["hosts"]), RunResult(label=label, report=report, **run))
                 )
         duration = max((r.result.duration_s for r in rows), default=0.0)
         window_s = 1.0

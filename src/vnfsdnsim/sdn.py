@@ -14,12 +14,10 @@ security chain.  Drop rules expire after an idle timeout; matching a rule
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import NodeId, Packet, Topology
 from .vnf import Verdict
-
-DROP_PRIORITY = 100
 
 
 class NoPath(Exception):
@@ -41,10 +39,9 @@ def flow_key_for(packet: Packet) -> FlowKey:
 
 @dataclass
 class FlowRule:
+    """Ingress drop rule for one flow."""
+
     key: FlowKey
-    action: str  # "drop" | "forward"
-    path: tuple[NodeId, ...] | None
-    priority: int
     installed_at: int
     idle_timeout_us: int
     last_match: int
@@ -78,8 +75,8 @@ class Controller:
         self.drop_idle_timeout_us = int(drop_idle_timeout_s * 1_000_000)
         self.install_delay_us = install_delay_us
         self.flow_rules = flow_rules
-        # (key, priority) -> rule; at most one active rule per pair.
-        self._rules: dict[tuple[FlowKey, int], FlowRule] = {}
+        # At most one rule per flow; a reinstall replaces it.
+        self._rules: dict[FlowKey, FlowRule] = {}
         self._routes: dict[tuple[NodeId, NodeId], tuple[NodeId, ...]] = {}
         # (src, dst, hot link) -> route with that link penalised, None when
         # there is none.  The topology and the penalty never change, so the
@@ -135,24 +132,22 @@ class Controller:
     # flow rules
 
     def lookup(self, packet: Packet, now_us: int) -> tuple[str, FlowRule | None]:
-        """Resolve a packet against the rule store.
+        """Resolve a packet against the drop rules.
 
-        Returns ("drop", rule), ("forward", rule) or ("chain", None) when no
-        rule matches and the packet must be inspected.
+        Returns ("drop", rule), or ("chain", None) when no active rule
+        matches and the packet must be inspected.  An expired rule is
+        evicted on the way.
         """
         key = flow_key_for(packet)
-        best: FlowRule | None = None
-        for priority in (DROP_PRIORITY, 0):
-            rule = self._rules.get((key, priority))
-            if rule is not None and rule.active(now_us):
-                best = rule
-                break
-            if rule is not None and rule.expired(now_us):
-                del self._rules[(key, priority)]
-        if best is None:
+        rule = self._rules.get(key)
+        if rule is None:
             return "chain", None
-        best.last_match = now_us
-        return ("drop" if best.action == "drop" else "forward"), best
+        if rule.active(now_us):
+            rule.last_match = now_us
+            return "drop", rule
+        if rule.expired(now_us):
+            del self._rules[key]
+        return "chain", None
 
     def on_verdict(
         self,
@@ -176,31 +171,28 @@ class Controller:
         active_from = now_us + self.install_delay_us + extra_delay_us
         rule = FlowRule(
             key=flow_key_for(packet),
-            action="drop",
-            path=None,
-            priority=DROP_PRIORITY,
             installed_at=active_from,
             idle_timeout_us=self.drop_idle_timeout_us,
             last_match=active_from,
             reason=verdict.reason.value if verdict.reason else "",
         )
-        self._rules[(rule.key, rule.priority)] = rule
+        self._rules[rule.key] = rule
         self.rules_installed += 1
         return rule
 
     def expire_rule(self, rule: FlowRule, now_us: int) -> bool:
         """Remove the rule if idle; returns True when it was dropped."""
-        stored = self._rules.get((rule.key, rule.priority))
+        stored = self._rules.get(rule.key)
         if stored is not rule:
             return False
         if stored.expired(now_us):
-            del self._rules[(rule.key, rule.priority)]
+            del self._rules[rule.key]
             return True
         return False
 
     def is_current(self, rule: FlowRule) -> bool:
-        """True while ``rule`` is the stored rule for its (key, priority) slot."""
-        return self._rules.get((rule.key, rule.priority)) is rule
+        """True while ``rule`` is the stored rule for its flow."""
+        return self._rules.get(rule.key) is rule
 
     def active_rule_count(self, now_us: int) -> int:
         return sum(1 for r in self._rules.values() if r.active(now_us))

@@ -260,24 +260,17 @@ class CaptureVnf:
     one object per captured packet, all with keys in lexicographic order.
     """
 
-    def __init__(
-        self,
-        folder: str | Path,
-        run_seed: int,
-        *,
-        channel: int = 6,
-        ap_mac: str = "02:00:00:00:00:01",
-        iface: str = "mon0",
-        started_at_us: int = 0,
-        cost_us: int = 1,
-    ):
+    # The monitor interface every capture header names.
+    channel = 6
+    ap_mac = "02:00:00:00:00:01"
+    iface = "mon0"
+    #: Processing cost of one captured packet, in us.
+    cost_us = 1
+
+    def __init__(self, folder: str | Path, run_seed: int, *, started_at_us: int = 0):
         self.folder = Path(folder)
         self.run_seed = run_seed
-        self.channel = channel
-        self.ap_mac = ap_mac
-        self.iface = iface
         self.started_at_us = started_at_us
-        self.cost_us = cost_us
         self.monitoring = True
         self.buffer: list[CaptureRecord] = []
         self.capture_count = 0

@@ -19,7 +19,7 @@ from vnfsdnsim.model import (
     Topology,
     build_topology,
 )
-from vnfsdnsim.sdn import DROP_PRIORITY, Controller, FlowRule, NoPath, flow_key_for
+from vnfsdnsim.sdn import Controller, FlowRule, NoPath, flow_key_for
 from vnfsdnsim.vnf import BlockReason, Verdict, block
 
 LP = lambda lat: LinkParams(latency_us=lat, bandwidth_bps=1_000_000, queue_capacity=16)
@@ -120,7 +120,6 @@ def test_block_verdict_installs_delayed_drop_rule():
     controller = Controller(topology, install_delay_us=1000, drop_idle_timeout_s=0.01)
     pkt = flood_packet(src=0, dst=3)
     rule = controller.on_verdict(pkt, block(BlockReason.IDS_SIGNATURE), now_us=5000)
-    assert rule.priority == DROP_PRIORITY
     assert rule.installed_at == 6000
     assert rule.reason == "ids_signature"
     assert controller.rules_installed == 1

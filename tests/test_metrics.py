@@ -13,9 +13,7 @@ from hypothesis import strategies as st
 from vnfsdnsim.metrics import (
     AnalyticParams,
     EmptyTraffic,
-    InsufficientSeries,
     KpiCounters,
-    MonitorSample,
     NoAttempts,
     NoDevices,
     NoThreats,
@@ -26,8 +24,6 @@ from vnfsdnsim.metrics import (
     composite_simpson,
     exposure_ratio,
     kpi_rollup,
-    monitor_growth_check,
-    monitored_traffic,
     reliability_ratio,
     secure_traffic_pct,
     security_integral,
@@ -308,64 +304,6 @@ def test_check_hypothesis1_rejects_bad_size_lists():
 def test_gamma_scale_sqrt_keeps_amplitude_proportional():
     base = AnalyticParams(n=1, gamma_n=0.1, m=1.0, horizon_s=20.0)
     assert check_hypothesis1(base, [1, 4, 9, 16], gamma_scale="sqrt").increasing
-
-
-# ----------------------------------------------------------------------
-# monitored-traffic model
-
-
-def test_monitored_traffic_examples():
-    assert monitored_traffic(MonitorSample(time_us=0, pairs=())) == 0.0
-    sample = MonitorSample(time_us=0, pairs=((1.0, 100.0), (1.0, 200.0), (2.0, 300.0)))
-    assert monitored_traffic(sample) == 900.0
-    rng = random.Random(7)
-    pairs = tuple((rng.uniform(0.1, 3.0), rng.uniform(1, 2000)) for _ in range(500))
-    want = sum(w * m for w, m in pairs)
-    assert abs(monitored_traffic(MonitorSample(time_us=0, pairs=pairs)) - want) < 1e-9
-
-
-def test_monitor_sample_rejects_bad_pairs():
-    with pytest.raises(ValueError):
-        MonitorSample(time_us=0, pairs=((0.0, 5.0),))
-    with pytest.raises(ValueError):
-        MonitorSample(time_us=0, pairs=((1.0, -1.0),))
-
-
-def _series(values_by_time: dict[int, float]):
-    return [
-        MonitorSample(time_us=t, pairs=((1.0, v),)) for t, v in sorted(values_by_time.items())
-    ]
-
-
-def test_monitor_growth_constant_equal_series_is_nonstrictly_true():
-    times = {int(i * SECOND): 25.0 for i in range(5)}
-    series = {1: _series(times), 2: _series(times), 4: _series(times)}
-    result = monitor_growth_check(series)
-    assert result.non_decreasing
-    first = result.integrals[0][1]
-    for _, v in result.integrals:
-        assert abs(v - first) < 1e-9
-
-
-def test_monitor_growth_linear_in_n_matches_closed_form():
-    # Mₙ(t) = n constant over [0, T] → ∫√Mₙ dt = T·√n.
-    horizon = 4
-    series = {
-        n: _series({int(i * SECOND): float(n) for i in range(horizon + 1)})
-        for n in (1, 2, 4, 9)
-    }
-    result = monitor_growth_check(series)
-    assert result.non_decreasing
-    for n, integral in result.integrals:
-        assert abs(integral - horizon * math.sqrt(n)) < 1e-9
-
-
-def test_monitor_growth_needs_three_sizes_and_two_samples():
-    good = _series({0: 1.0, SECOND: 1.0})
-    with pytest.raises(InsufficientSeries):
-        monitor_growth_check({1: good, 2: good})
-    with pytest.raises(InsufficientSeries):
-        monitor_growth_check({1: good, 2: good, 3: good[:1]})
 
 
 # ----------------------------------------------------------------------

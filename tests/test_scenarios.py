@@ -6,7 +6,10 @@ Scenario runs in this module use a shrunk variant of the first study
 stays fast; full-length calibration is exercised by the acceptance tests.
 """
 
+import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +31,7 @@ from vnfsdnsim.scenarios import (
     MissingMetric,
     TargetSpec,
     UnsupportedVersion,
+    _result_object,
     capture_dump,
     emit_results,
     hypothesis1_sizes,
@@ -107,9 +111,17 @@ def test_from_dict_rejects_malformed_trees():
         mutated(lambda t: t["topology"].update(kind="ring")),
         mutated(lambda t: t["security"]["ids"]["signatures"].append("gremlins")),
         mutated(lambda t: t.pop("topology")),
+        # a firewall action the chain cannot apply, and a key no rule field
+        # reads, which would otherwise leave a rule that matches everything
+        mutated(lambda t: t["security"].update(firewall_rules=[{"action": "block"}])),
+        mutated(lambda t: t["security"].update(
+            firewall_rules=[{"action": "deny", "tag": "guest"}])),
     ]
     for tree in bad_trees:
         with pytest.raises(ConfigError):
+            from_dict(tree)
+    for tree in bad_trees[-2:]:
+        with pytest.raises(ConfigError, match=r"security\.firewall_rules\[0\]"):
             from_dict(tree)
     with pytest.raises(ConfigError):
         from_dict("not a tree")
@@ -256,23 +268,45 @@ def test_record_lines_are_canonical(emitted):
 def test_results_round_trip_through_disk(emitted):
     result, out, _ = emitted
     (loaded,) = load_results(out)
-    assert loaded.scenario == result.scenario and loaded.seed == result.seed
-    assert [r.label for r in loaded.rows] == [r.label for r in result.rows]
-    for original, parsed in zip(result.rows, loaded.rows):
-        a, b = original.result.report, parsed.result.report
-        assert b.benign_sent == a.benign_sent
-        assert b.benign_delivered == a.benign_delivered
-        assert b.benign_loss_total == a.benign_loss_total
-        assert b.counters.total_packets == a.counters.total_packets
-        assert b.mean_latency_ms == pytest.approx(a.mean_latency_ms, abs=1e-6)
-        assert b.throughput_mbps == pytest.approx(a.throughput_mbps, abs=1e-6)
-        assert b.availability_pct == pytest.approx(a.availability_pct, abs=1e-6)
-        assert len(b.windows) == len(a.windows)
-        for wa, wb in zip(a.windows, b.windows):
-            assert wb.sent_benign == wa.sent_benign
-            assert (wb.mean_latency_ms is None) == (wa.mean_latency_ms is None)
-            if wa.mean_latency_ms is not None:
-                assert wb.mean_latency_ms == pytest.approx(wa.mean_latency_ms, abs=1e-6)
+    # every emitted column reads back to the value it was written from; only
+    # the configuration digest is not in the CSV files
+    want, got = _result_object(result), _result_object(loaded)
+    assert got.pop("config_digest") == ""
+    want.pop("config_digest")
+    assert got == want
+
+
+# Shrunk runs of scenarios 1-5, each attack moved to 0.5 s so that blocks,
+# drop rules, detections and captures occur; together they write all seven
+# plot-data figures.  golden_emission.json holds the result digest and the
+# sha256 of every emitted file, wall-clock header field masked: the emitted
+# bytes change only on purpose, and then this file changes with them.
+GOLDEN_RUNS = {
+    1: ["traffic.ddos.0.window.start_s=0.5", "traffic.ddos.1.window.start_s=0.5"],
+    2: ["sweep.hosts=[10,20]", "traffic.ddos.0.window.start_s=0.5"],
+    3: ["traffic.ddos.0.window.start_s=0.5"],
+    4: [],
+    5: ["traffic.ddos.0.window.start_s=0.5"],
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN_RUNS))
+def test_emitted_bytes_match_golden(scenario, tmp_path):
+    golden = json.loads(
+        Path(__file__).with_name("golden_emission.json").read_text()
+    )[str(scenario)]
+    tree = apply_overrides(default_config(scenario), ["duration_s=2", *GOLDEN_RUNS[scenario]])
+    result = run_scenario(scenario, from_dict(tree), out_dir=tmp_path)
+    emit_results(result, tmp_path)
+    assert result.digest() == golden["digest"]
+    files = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(
+            re.sub(rb'"generated_unix_ms":\d+', b'"generated_unix_ms":0', path.read_bytes())
+        ).hexdigest()
+        for path in tmp_path.rglob("*")
+        if path.is_file()
+    }
+    assert files == golden["files"]
 
 
 def test_load_results_ignores_unrelated_files(tmp_path):
