@@ -38,7 +38,6 @@ from .metrics import (
     unauthorized_block_rate,
 )
 from .model import (
-    CustomSpec,
     LinkParams,
     Packet,
     PacketClass,

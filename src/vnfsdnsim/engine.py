@@ -39,7 +39,6 @@ class EventKind(Enum):
     PACKET_ARRIVAL = "packet_arrival"
     PACKET_DEPARTURE = "packet_departure"
     RULE_TIMEOUT = "rule_timeout"
-    WINDOW_BOUNDARY = "window_boundary"
     TRAFFIC_EMIT = "traffic_emit"
     ATTACK_START = "attack_start"
     ATTACK_STOP = "attack_stop"

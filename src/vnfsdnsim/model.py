@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import Literal
 
 NodeId = int
 
@@ -367,27 +367,12 @@ class StarSpec:
     trunk: LinkParams = DEFAULT_TRUNK
     control: LinkParams = DEFAULT_CONTROL
     per_host_access: dict[int, LinkParams] = field(default_factory=dict)
+    kind: Literal["star"] = "star"
 
 
-@dataclass(frozen=True)
-class CustomSpec:
-    """Explicit node and link lists, mostly for tests and small studies."""
-
-    nodes: tuple[tuple[str, str], ...]  # (kind value, name)
-    links: tuple[tuple[str, str, LinkParams], ...]  # (name_a, name_b, params)
-
-
-TopologySpec = StarSpec | CustomSpec
-
-
-def build_topology(spec: TopologySpec) -> Topology:
+def build_topology(spec: StarSpec) -> Topology:
     """Materialise a spec into a validated topology, or raise TopologyError."""
-    if isinstance(spec, StarSpec):
-        topology = _build_star(spec)
-    elif isinstance(spec, CustomSpec):
-        topology = _build_custom(spec)
-    else:
-        raise TypeError(f"unsupported topology spec: {type(spec).__name__}")
+    topology = _build_star(spec)
     violations = validate(topology)
     if violations:
         raise TopologyError(violations)
@@ -441,36 +426,4 @@ def _build_star(spec: StarSpec) -> Topology:
             spec.control.queue_capacity,
         )
     )
-    return Topology(nodes, links)
-
-
-def _build_custom(spec: CustomSpec) -> Topology:
-    nodes = [
-        Node(i, NodeKind(kind), name) for i, (kind, name) in enumerate(spec.nodes)
-    ]
-    by_name = {n.name: n for n in nodes}
-    if len(by_name) != len(nodes):
-        raise TopologyError(
-            [Violation(ViolationKind.INVALID_NODE, "duplicate node names")]
-        )
-    links = []
-    for name_a, name_b, params in spec.links:
-        if name_a not in by_name or name_b not in by_name:
-            raise TopologyError(
-                [
-                    Violation(
-                        ViolationKind.INVALID_LINK,
-                        f"link endpoints {name_a!r}-{name_b!r} missing",
-                    )
-                ]
-            )
-        links.append(
-            Link(
-                by_name[name_a].id,
-                by_name[name_b].id,
-                params.latency_us,
-                params.bandwidth_bps,
-                params.queue_capacity,
-            )
-        )
     return Topology(nodes, links)

@@ -241,9 +241,9 @@ def run_scenario(
             f"configuration is for scenario {cfg.scenario}, not {scenario_id}"
         )
     rows: list[RunRow] = []
-    if cfg.sweep_hosts:
+    if cfg.sweep.hosts:
         for label in cfg.security.configs:
-            for n in cfg.sweep_hosts:
+            for n in cfg.sweep.hosts:
                 result = run_one(cfg, label, hosts=n, out_dir=out_dir)
                 rows.append(RunRow(f"{label}_h{n:03d}", n, result))
     else:

@@ -10,7 +10,7 @@ phased and pulsed attacks are described without extra randomness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Literal
 
 from .engine import EventKind, SimEngine, SimTime, seconds
 from .model import NodeId, Packet, PacketClass, ThreatKind
@@ -83,7 +83,7 @@ class BenignProfile:
     """
 
     name: str
-    sources: tuple[str, ...] | str  # node names, or "all_hosts"
+    sources: tuple[str, ...] | Literal["all_hosts"]  # node names, or every host
     dst: str
     rate_pps: float
     size: SizeDist
@@ -108,7 +108,7 @@ class DdosProfile:
     target: str
     threat_kind: ThreatKind
     tag: str
-    attackers: tuple[str, ...] | str = "all_but_target"
+    attackers: tuple[str, ...] | Literal["all_but_target"] = "all_but_target"
     rate_multiplier: float = 50.0
     base_rate_pps: float = 10.0
     size: SizeDist = SizeDist(1000)
@@ -125,7 +125,7 @@ class AccessProfile:
     """Resource access attempts, a mix of authorised and unauthorised."""
 
     name: str
-    sources: tuple[str, ...] | str
+    sources: tuple[str, ...] | Literal["all_hosts"]
     dst: str
     authorized_pps: float
     unauthorized_pps: float

@@ -7,9 +7,7 @@ import random
 import pytest
 
 from vnfsdnsim.model import (
-    CustomSpec,
     Link,
-    LinkParams,
     Node,
     NodeKind,
     Packet,
@@ -21,8 +19,6 @@ from vnfsdnsim.model import (
 )
 from vnfsdnsim.sdn import Controller, FlowRule, NoPath, flow_key_for
 from vnfsdnsim.vnf import BlockReason, Verdict, block
-
-LP = lambda lat: LinkParams(latency_us=lat, bandwidth_bps=1_000_000, queue_capacity=16)
 
 
 def mesh(n_nodes, edges):
@@ -51,23 +47,14 @@ def enumerate_paths(topology, src, dst):
 
 def diamond():
     """Two parallel branches plus a control stub: 0-1-3 cheap, 0-2-3 dear."""
-    spec = CustomSpec(
-        nodes=(
-            ("switch", "a"),
-            ("switch", "b"),
-            ("switch", "c"),
-            ("switch", "d"),
-            ("controller", "ctl"),
-        ),
-        links=(
-            ("a", "b", LP(10)),
-            ("b", "d", LP(10)),
-            ("a", "c", LP(15)),
-            ("c", "d", LP(15)),
-            ("a", "ctl", LP(200)),
-        ),
-    )
-    return build_topology(spec)
+    names = ("a", "b", "c", "d")
+    nodes = [Node(i, NodeKind.SWITCH, name) for i, name in enumerate(names)]
+    nodes.append(Node(4, NodeKind.CONTROLLER, "ctl"))
+    links = [
+        Link(a, b, lat, 1_000_000, 16)
+        for a, b, lat in ((0, 1, 10), (1, 3, 10), (0, 2, 15), (2, 3, 15), (0, 4, 200))
+    ]
+    return Topology(nodes, links)
 
 
 def flood_packet(src=0, dst=3, tag="flood"):

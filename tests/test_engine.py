@@ -98,7 +98,7 @@ def test_event_hash_golden_value_across_flush_batches():
         return engine.event_hash()
 
     assert 12_000 > 2 * HASH_BATCH
-    assert run(True) == "08ca35e3d6356ce24ef5ed7f286fbffb1f174d9ec3259b268827a5e483f3fe85"
+    assert run(True) == "951af0eae4939a656261b60d72971c06dd35e56505b4aae6822454a25d04701d"
     assert run(False) is None
 
 

@@ -6,7 +6,6 @@ from vnfsdnsim.model import (
     _PACKET_FROZEN,
     MAX_PACKET_BYTES,
     MIN_PACKET_BYTES,
-    CustomSpec,
     LinkParams,
     Node,
     NodeKind,
@@ -21,8 +20,6 @@ from vnfsdnsim.model import (
     build_topology,
     validate,
 )
-
-LINK = LinkParams(latency_us=100, bandwidth_bps=10_000_000, queue_capacity=8)
 
 
 def test_star_topology_counts_and_names():
@@ -59,22 +56,6 @@ def test_star_rejects_empty_host_set():
         build_topology(StarSpec(hosts=0))
 
 
-def test_custom_topology_round_trip():
-    spec = CustomSpec(
-        nodes=(
-            ("ue_host", "h"),
-            ("switch", "sw"),
-            ("server", "srv"),
-            ("controller", "ctl"),
-        ),
-        links=(("h", "sw", LINK), ("sw", "srv", LINK), ("sw", "ctl", LINK)),
-    )
-    topo = build_topology(spec)
-    assert validate(topo) == []
-    assert {n.name for n in topo.nodes} == {"h", "sw", "srv", "ctl"}
-    assert len(topo.neighbors(topo.by_name("sw").id)) == 3
-
-
 def _manual_topology(nodes, links):
     return Topology(nodes=nodes, links=links)
 
@@ -108,12 +89,12 @@ def test_validate_flags_duplicate_controller_and_bad_link():
 
 
 def test_build_topology_raises_on_violations():
-    spec = CustomSpec(
-        nodes=(("ue_host", "a"), ("ue_host", "b")),  # no controller, no links
-        links=(),
-    )
+    # no controller, no links
+    topo = _manual_topology([Node(0, NodeKind.UE_HOST, "a"), Node(1, NodeKind.UE_HOST, "b")], [])
+    kinds = {v.kind for v in validate(topo)}
+    assert kinds == {ViolationKind.MISSING_CONTROLLER, ViolationKind.DISCONNECTED_GRAPH}
     with pytest.raises(TopologyError):
-        build_topology(spec)
+        build_topology(StarSpec(hosts=2, trunk=LinkParams(800, 0, 16)))
 
 
 # ----------------------------------------------------------------------

@@ -6,9 +6,11 @@ Scenario runs in this module use a shrunk variant of the first study
 stays fast; full-length calibration is exercised by the acceptance tests.
 """
 
+import dataclasses
 import hashlib
 import json
 import re
+import typing
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ import pytest
 from vnfsdnsim.cli import main
 from vnfsdnsim.config import (
     ConfigError,
+    ScenarioConfig,
     apply_overrides,
     canonical_json,
     default_config,
@@ -81,6 +84,9 @@ def test_overrides_reach_nested_and_indexed_entries():
     assert updated["policy"]["accepted_tags"] == ["a", "b"]
     assert updated["traffic"]["benign"][0]["name"] == "renamed"
     assert tree["duration_s"] == 60.0  # input tree untouched
+    # a schema key the shipped tree leaves out may still be set
+    cfg = from_dict(apply_overrides(default_config(2), ["controller.install_delay_us=5"]))
+    assert cfg.controller.install_delay_us == 5
 
 
 def test_override_error_paths():
@@ -96,35 +102,124 @@ def test_override_error_paths():
 
 
 def test_from_dict_rejects_malformed_trees():
-    def mutated(fn):
-        tree = default_config(1)
+    def mutated(fn, scenario=1):
+        tree = default_config(scenario)
         fn(tree)
         return tree
 
+    link = {"latency_us": 1, "bandwidth_bps": 1, "queue_capacity": 1}
+    # each tree, and the path its error must name
     bad_trees = [
-        mutated(lambda t: t.update(scenario=7)),
-        mutated(lambda t: t["security"].update(configs=["vnfsdn", "vnfsdn"])),
-        mutated(lambda t: t["security"].update(configs=["castle_wall"])),
-        mutated(lambda t: t["security"].update(configs=["profile-unheard_of"])),
-        mutated(lambda t: t["traffic"]["ddos"][0].update(threat_kind="gremlins")),
-        mutated(lambda t: t.update(duration_s=-1)),
-        mutated(lambda t: t["topology"].update(kind="ring")),
-        mutated(lambda t: t["security"]["ids"]["signatures"].append("gremlins")),
-        mutated(lambda t: t.pop("topology")),
+        (mutated(lambda t: t.update(scenario=7)), "scenario"),
+        (mutated(lambda t: t["security"].update(configs=["vnfsdn", "vnfsdn"])), "security"),
+        (mutated(lambda t: t["security"].update(configs=["castle_wall"])), "security"),
+        (mutated(lambda t: t["security"].update(configs=["profile-unheard_of"])), "security"),
+        (mutated(lambda t: t["traffic"]["ddos"][0].update(threat_kind="gremlins")),
+         "traffic.ddos.0.threat_kind"),
+        (mutated(lambda t: t.update(duration_s=-1)), "duration_s"),
+        (mutated(lambda t: t["topology"].update(kind="ring")), "topology.kind"),
+        (mutated(lambda t: t["security"]["ids"]["signatures"].append("gremlins")),
+         "security.ids"),
+        (mutated(lambda t: t.pop("topology")), "topology"),
         # a firewall action the chain cannot apply, and a key no rule field
         # reads, which would otherwise leave a rule that matches everything
-        mutated(lambda t: t["security"].update(firewall_rules=[{"action": "block"}])),
-        mutated(lambda t: t["security"].update(
+        (mutated(lambda t: t["security"].update(firewall_rules=[{"action": "block"}])),
+         "security.firewall_rules.0.action"),
+        (mutated(lambda t: t["security"].update(
             firewall_rules=[{"action": "deny", "tag": "guest"}])),
+         "security.firewall_rules.0.tag"),
+        # topologies the star builder refuses
+        (mutated(lambda t: t["topology"].update(hosts=0)), "topology"),
+        (mutated(lambda t: t["topology"]["trunk"].update(bandwidth_bps=0)), "topology"),
+        # node names the topology does not have
+        (mutated(lambda t: t["security"].update(
+            firewall_rules=[{"action": "deny", "src": "hostX"}])),
+         "security.firewall_rules.0.src"),
+        (mutated(lambda t: t["traffic"]["ddos"][0].update(target="nosuch"), 5),
+         "traffic.ddos.0.target"),
+        (mutated(lambda t: t["traffic"]["ddos"][0].update(attackers=["host1", "nosuch"]), 5),
+         "traffic.ddos.0.attackers.1"),
+        (mutated(lambda t: t["traffic"]["benign"][0].update(sources=["nosuch"]), 5),
+         "traffic.benign.0.sources.0"),
+        (mutated(lambda t: t["traffic"]["access"][0].update(dst="nosuch"), 5),
+         "traffic.access.0.dst"),
+        # a per-host link for a host the topology does not have
+        (mutated(lambda t: t["topology"]["per_host_access"].update({"99": link}), 5),
+         "topology.per_host_access.99"),
+        (mutated(lambda t: t["topology"]["per_host_access"].update({"x": {}}), 5),
+         "topology.per_host_access.x"),
     ]
-    for tree in bad_trees:
-        with pytest.raises(ConfigError):
-            from_dict(tree)
-    for tree in bad_trees[-2:]:
-        with pytest.raises(ConfigError, match=r"security\.firewall_rules\[0\]"):
+    for tree, path in bad_trees:
+        with pytest.raises(ConfigError, match=re.escape(path)):
             from_dict(tree)
     with pytest.raises(ConfigError):
         from_dict("not a tree")
+
+
+def test_from_dict_rejects_non_positive_monitor_interval():
+    # a zero interval reschedules the monitor tick at the same instant
+    # forever, so this is checked on the tree and never run
+    for value in (0, -1):
+        tree = apply_overrides(default_config(1), [f"monitor_interval_s={value}"])
+        with pytest.raises(ConfigError, match="monitor_interval_s"):
+            from_dict(tree)
+
+
+def _schema_paths(cls, prefix=()):
+    """Every key path a config tree can hold, derived from the dataclass fields.
+
+    A list of objects contributes its element 0, a map of objects one key.
+    """
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if not f.init:
+            continue
+        path = prefix + (f.name,)
+        yield path
+        tp = hints[f.name]
+        origin, args = typing.get_origin(tp), typing.get_args(tp)
+        if dataclasses.is_dataclass(tp):
+            yield from _schema_paths(tp, path)
+        elif origin is tuple and dataclasses.is_dataclass(args[0]):
+            yield from _schema_paths(args[0], path + (0,))
+        elif origin is dict and dataclasses.is_dataclass(args[1]):
+            yield from _schema_paths(args[1], path + ("0" if args[0] is int else "p",))
+
+
+def test_every_misspelled_key_is_named():
+    paths = list(_schema_paths(ScenarioConfig))
+    assert ("topology", "trunk", "bandwidth_bps") in paths
+    assert ("traffic", "ddos", 0, "window", "burst_on_s") in paths
+    assert ("sweep", "hosts") in paths and ("monitor_interval_s",) in paths
+    assert len(paths) == len(set(paths)) > 100
+    base = default_config(5)
+    from_dict(base)
+    for path in paths:
+        tree = json.loads(json.dumps(base))
+        node = tree
+        for part, child in zip(path, path[1:]):  # build absent parents
+            if isinstance(part, int):
+                if not node:
+                    node.append({})
+                node = node[part]
+            else:
+                node = node.setdefault(part, [] if isinstance(child, int) else {})
+        node[path[-1] + "x"] = 1
+        dotted = ".".join(map(str, path)) + "x"
+        with pytest.raises(ConfigError, match=f"^unknown key {re.escape(repr(dotted))}$"):
+            from_dict(tree)
+
+
+def test_shipped_config_digests_are_pinned():
+    # recorded before the defaults moved from Python literals to package data
+    assert {n: from_dict(default_config(n)).digest() for n in range(1, 7)} == {
+        1: "0c743f1dbe416a838b3d1b993f0c4a4d8dc957ff6b83ab9e99167f541882991b",
+        2: "ab217d2d2f6ffa1abbe31e8bcba7b7557879f5537c7513411af92d46f1a620a5",
+        3: "897a7d9007383e20b20ad23fa9ee71c7b8d511472276a72aa878c4ca16f8c7f5",
+        4: "8bda217f71d2c259159efc414d46ae85743d3ac4e6897b8bada983cd831ce6ed",
+        5: "c075fed788e0c50348cab086577e0a613eb3f4caf94a61ed2652347bf294dc09",
+        6: "02c7c6c3fffc5afd799aa7e7b986c91e979f0b26796fa8974d24ae934e5bed05",
+    }
 
 
 def test_sweep_must_ascend():
@@ -486,6 +581,24 @@ def test_cli_run_usage_errors(tmp_path):
     assert run_cli("run", "--scenario", "1", "--config", str(tmp_path / "no.json")) == 2
     assert run_cli("run", "--scenario", "1", "--format", "yaml") == 2
     assert run_cli("run", "--scenario", "1", "--set", "oops") == 2
+
+
+@pytest.mark.parametrize("scenario, assignment, key", [
+    (4, "topology.trunk.bandwidthh_bps=5", "'topology.trunk.bandwidthh_bps'"),
+    (4, "topology.trunkk=5", "'topology.trunkk'"),
+    (5, "traffic.ddos.0.rate_pps_per_attacker=5", "'traffic.ddos.0.rate_pps_per_attacker'"),
+    (5, "duration_s=abc", "duration_s"),
+    (5, "seed=1.5", "seed"),
+    (5, 'traffic.benign.0.measured="false"', "traffic.benign.0.measured"),
+    (5, 'policy.accepted_tags="abc"', "policy.accepted_tags"),
+    (5, 'topology.per_host_access={"x":{}}', "topology.per_host_access.x"),
+    (5, "monitor_interval_s=0", "monitor_interval_s"),
+])
+def test_cli_run_names_the_bad_key(scenario, assignment, key, tmp_path, capsys):
+    code = run_cli("run", "--scenario", str(scenario), "--out", str(tmp_path),
+                   "--set", assignment)
+    assert code == 2
+    assert key in capsys.readouterr().err
 
 
 def test_cli_compare_exit_codes(emitted, tmp_path, capsys):
