@@ -15,7 +15,7 @@ from .config import (
     load,
     load_tree,
 )
-from .engine import SimEngine, SimTime, TimeTravel, UnknownStream, seconds
+from .engine import SimEngine, SimTime, TimeTravel, seconds
 from .metrics import (
     AnalyticParams,
     EmptyTraffic,
@@ -63,15 +63,17 @@ from .scenarios import (
     run_scenario,
     verify_hypothesis1,
 )
-from .sdn import Controller, FlowRule, NoPath
+from .sdn import Controller, ControllerSettings, FlowRule, NoPath
 from .traffic import AccessProfile, ActivityWindow, BenignProfile, DdosProfile
 from .vnf import (
     CaptureVnf,
     FilterVnf,
     FirewallRule,
     FirewallVnf,
+    IdsSettings,
     IdsVnf,
     MitigationProfile,
+    ProfileSettings,
     Verdict,
     VnfChain,
 )

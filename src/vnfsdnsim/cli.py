@@ -93,14 +93,7 @@ def _out_dir(arg: str | None) -> str:
 
 
 def _load_targets(path: str | None) -> CalibrationTargets:
-    if path is None:
-        return CalibrationTargets.shipped()
-    try:
-        return CalibrationTargets.load(path)
-    except OSError as exc:
-        raise config.ConfigError(f"cannot read targets {path}: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
-        raise config.ConfigError(f"targets file {path} is invalid: {exc}") from exc
+    return CalibrationTargets.shipped() if path is None else CalibrationTargets.load(path)
 
 
 def _check_line(check) -> str:

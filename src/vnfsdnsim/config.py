@@ -1,9 +1,11 @@
 """Scenario configuration: schema, defaults, file loading, overrides, digest.
 
-The settings dataclasses below, with the topology and traffic-profile
-dataclasses they nest, are the schema: a key is a field name, its type the
-field's annotation and its default the field's default.  ``from_dict``
-walks it; every fault is a ``ConfigError`` naming the key's dotted path.
+The settings dataclasses below, with the dataclasses they nest (topology,
+traffic profiles, controller and security-function settings, each declared
+beside the code that reads it), are the schema: a key is a field name, its
+type the field's annotation and its default the field's default; a range
+check is a ``__post_init__``.  ``from_dict`` walks it; every fault is a
+``ConfigError`` naming the key's dotted path.
 The config digest hashes the canonical tree (sorted keys, compact
 separators).  ``default_config(n)`` reads ``data/scenario_<n>.json``, whose
 constants are calibrated against the shipped targets file.
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from contextlib import suppress
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
@@ -21,8 +24,18 @@ from importlib import resources
 from types import UnionType
 from typing import Literal, Union, get_args, get_origin, get_type_hints
 
-from .model import SecurityPolicy, StarSpec, ThreatKind, TopologyError, build_topology
+from .model import (
+    POSITIVE,
+    RangeError,
+    SecurityPolicy,
+    StarSpec,
+    TopologyError,
+    build_topology,
+    require,
+)
+from .sdn import ControllerSettings
 from .traffic import AccessProfile, BenignProfile, DdosProfile, SizeDist
+from .vnf import FirewallRule, IdsSettings, ProfileSettings
 
 SCENARIO_IDS = (1, 2, 3, 4, 5, 6)
 
@@ -41,45 +54,9 @@ class ConfigError(Exception):
 
 
 @dataclass(frozen=True)
-class ControllerSettings:
-    install_delay_us: int = 1000
-    drop_idle_timeout_s: float = 30.0
-    congestion_threshold: float = 0.8
-    congestion_penalty: float = 10.0
-
-
-@dataclass(frozen=True)
-class IdsSettings:
-    signatures: tuple[str, ...] = ()  # ThreatKind values
-    anomaly_window_s: float = 1.0
-    anomaly_threshold_pps: float = 1000.0
-
-    def __post_init__(self) -> None:
-        for sig in self.signatures:
-            ThreatKind(sig)  # a ValueError names an unknown kind
-
-
-@dataclass(frozen=True)
-class ProfileSettings:
-    detection_probability: float
-    detection_delay_us: int = 0
-    cost_us: int = 3
-    memory_kb_per_flow: float = 8.0
-    prioritize_benign: bool = False
-
-
-@dataclass(frozen=True)
-class FirewallRuleSpec:
-    action: Literal["allow", "deny"]
-    src: str | None = None
-    dst: str | None = None
-    protocol: str | None = None
-
-
-@dataclass(frozen=True)
 class SecuritySettings:
     configs: tuple[str, ...]
-    firewall_rules: tuple[FirewallRuleSpec, ...] = ()
+    firewall_rules: tuple[FirewallRule, ...] = ()
     ids: IdsSettings = IdsSettings()
     profiles: dict[str, ProfileSettings] = field(default_factory=dict)
     capture: bool = True
@@ -131,9 +108,7 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIO_IDS:
             raise ValueError(f"scenario must be one of {SCENARIO_IDS}, got {self.scenario!r}")
-        for key in ("duration_s", "window_s", "monitor_interval_s"):
-            if getattr(self, key) <= 0:
-                raise ValueError(f"{key} must be positive, got {getattr(self, key)!r}")
+        require(self, POSITIVE, "duration_s", "window_s", "monitor_interval_s")
 
     def digest(self) -> str:
         """Hex digest of the canonical configuration tree."""
@@ -177,16 +152,19 @@ def _build(cls, tree, path: str):
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}" if path else str(exc)) from exc
+        # A RangeError's message starts with the failing field's key.
+        where = f"{path}." if isinstance(exc, RangeError) else f"{path}: "
+        raise ConfigError(f"{where}{exc}" if path else str(exc)) from exc
 
 
 def _convert(tp, value, path: str):
     """``value`` read as annotation ``tp``, or a ConfigError naming ``path``.  Int and
-    bool take JSON integers and booleans only; lists stand for tuples and sets."""
+    bool take JSON integers and booleans only, float finite numbers only (Python's
+    JSON reader accepts NaN and Infinity); lists stand for tuples and sets."""
     origin, args = get_origin(tp), get_args(tp)
     if is_dataclass(tp):
         if tp is SizeDist and type(value) is int:
-            return SizeDist(value)  # shorthand for a fixed size
+            value = {"lo": value}  # shorthand for a fixed size
         return _build(tp, value, path)
     if origin is Union or origin is UnionType:
         for arm in args:
@@ -212,14 +190,14 @@ def _convert(tp, value, path: str):
         with suppress(ValueError):
             return tp(value)
     elif tp is float:
-        if type(value) in (int, float):
+        if type(value) in (int, float) and math.isfinite(value):
             return float(value)
     elif type(value) is tp:
         return value
     raise ConfigError(f"{path} must be {_describe(tp)}, got {value!r}")
 
 
-_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
+_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string",
           type(None): "null", tuple: "a list", frozenset: "a list", dict: "an object"}
 
 
@@ -268,16 +246,16 @@ def from_dict(tree: dict) -> ScenarioConfig:
 
 
 def load_tree(path: str) -> dict:
-    """Read a configuration file into its raw tree, without validating."""
+    """Read a configuration or targets file into its raw tree, without validating."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             tree = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(tree, dict):
-        raise ConfigError(f"config {path} must contain a key/value tree at top level")
+        raise ConfigError(f"{path} must contain a key/value tree at top level")
     return tree
 
 

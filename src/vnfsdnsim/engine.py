@@ -15,7 +15,7 @@ import heapq
 import math
 import random
 from enum import Enum
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 SimTime = int  # microseconds since run start
 
@@ -29,10 +29,6 @@ def seconds(s: float) -> SimTime:
 
 class TimeTravel(Exception):
     """An event was scheduled, or the clock advanced, into the past."""
-
-
-class UnknownStream(Exception):
-    """A random draw was requested from a stream that was never registered."""
 
 
 class EventKind(Enum):
@@ -86,19 +82,6 @@ class RngStream:
         if hi < lo:
             raise ValueError(f"empty integer range [{lo}, {hi}]")
         return lo + int(self.uniform() * (hi - lo + 1))
-
-    def choice(self, weights: Sequence[float]) -> int:
-        """Index drawn proportionally to ``weights`` (all non-negative)."""
-        total = float(sum(weights))
-        if total <= 0 or any(w < 0 for w in weights):
-            raise ValueError(f"weights must be non-negative with a positive sum: {weights!r}")
-        u = self.uniform() * total
-        acc = 0.0
-        for i, w in enumerate(weights):
-            acc += w
-            if u < acc:
-                return i
-        return len(weights) - 1
 
 
 class SimEngine:
@@ -183,21 +166,6 @@ class SimEngine:
             stream = RngStream(self.seed, name)
             self._streams[name] = stream
         return stream
-
-    def stream(self, name: str) -> RngStream:
-        try:
-            return self._streams[name]
-        except KeyError:
-            raise UnknownStream(f"stream {name!r} was never registered") from None
-
-    def uniform(self, name: str) -> float:
-        return self.stream(name).uniform()
-
-    def exponential(self, name: str, rate: float) -> float:
-        return self.stream(name).exponential(rate)
-
-    def choice(self, name: str, weights: Sequence[float]) -> int:
-        return self.stream(name).choice(weights)
 
     def _flush_hash(self) -> None:
         self._hasher.update(b"".join(self._hash_buf))

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Literal
+from typing import Callable, Literal
 
 NodeId = int
 
@@ -16,13 +16,35 @@ MIN_PACKET_BYTES = 64
 MAX_PACKET_BYTES = 9000  # jumbo frames; 1500 is the usual ethernet ceiling
 
 
+class RangeError(ValueError):
+    """A setting lies outside its accepted range; the message starts with its key."""
+
+
+# Accepted ranges for ``require``: (description, test).  Each test is written
+# so that NaN fails it.
+POSITIVE = ("positive", lambda v: v > 0)
+NON_NEGATIVE = ("at least 0", lambda v: v >= 0)
+FRACTION = ("in [0, 1]", lambda v: 0 <= v <= 1)
+PACKET_SIZE = (
+    f"in [{MIN_PACKET_BYTES}, {MAX_PACKET_BYTES}]",
+    lambda v: MIN_PACKET_BYTES <= v <= MAX_PACKET_BYTES,
+)
+
+
+def require(obj, accepted: tuple[str, Callable[[float], bool]], *keys: str) -> None:
+    """Raise a RangeError for the first of ``keys`` whose value on ``obj`` is not in range."""
+    text, ok = accepted
+    for key in keys:
+        value = getattr(obj, key)
+        if not ok(value):
+            raise RangeError(f"{key} must be {text}, got {value!r}")
+
+
 class NodeKind(Enum):
     UE_HOST = "ue_host"
     SWITCH = "switch"
-    ROUTER = "router"
     SERVER = "server"
     CONTROLLER = "controller"
-    VNF_HOST = "vnf_host"
 
 
 @dataclass(frozen=True)
@@ -82,9 +104,6 @@ class Link:
             raise TopologyError(
                 [Violation(ViolationKind.INVALID_LINK, p) for p in problems]
             )
-
-    def other(self, node: NodeId) -> NodeId:
-        return self.b if node == self.a else self.a
 
 
 class PacketClass(Enum):
@@ -226,7 +245,6 @@ class SecurityPolicy:
     def __post_init__(self) -> None:
         if not self.accepted_tags:
             raise ValueError("a security policy needs at least one accepted tag")
-        object.__setattr__(self, "accepted_tags", frozenset(self.accepted_tags))
 
     def accepts(self, tag: str) -> bool:
         return tag in self.accepted_tags
@@ -265,21 +283,6 @@ class Topology:
     def neighbors(self, node_id: NodeId) -> list[tuple[NodeId, Link]]:
         """Adjacent (node, link) pairs, sorted by neighbour id."""
         return self._adjacency[node_id]
-
-    def controller_id(self) -> NodeId:
-        controllers = self.by_kind(NodeKind.CONTROLLER)
-        if len(controllers) != 1:
-            raise TopologyError(
-                [
-                    Violation(
-                        ViolationKind.MISSING_CONTROLLER
-                        if not controllers
-                        else ViolationKind.DUPLICATE_CONTROLLER,
-                        f"found {len(controllers)} controller nodes",
-                    )
-                ]
-            )
-        return controllers[0].id
 
     def host_ids(self) -> list[NodeId]:
         return [n.id for n in self.by_kind(NodeKind.UE_HOST)]

@@ -100,7 +100,6 @@ class NetworkSim:
         window_s: float = 1.0,
         monitor_interval_s: float = 1.0,
         memory_base_mb: float = 64.0,
-        qos_priority: bool = False,
         collect_trace: bool = False,
         label: str = "run",
     ):
@@ -112,17 +111,12 @@ class NetworkSim:
         self.window_s = window_s
         self.monitor_interval_us = seconds(monitor_interval_s)
         self.memory_base_mb = memory_base_mb
-        # Benign-first scheduling is declared by the active mitigation
-        # profile, or forced explicitly.
-        self.qos_priority = qos_priority or any(
-            isinstance(v, MitigationProfile) and v.prioritize_benign for v in chain.vnfs
-        )
+        profiles = [v.settings for v in chain.vnfs if isinstance(v, MitigationProfile)]
+        # Benign-first scheduling is declared by the active mitigation profile.
+        self.qos_priority = any(p.prioritize_benign for p in profiles)
         # Detections made by a mitigation profile reach the controller only
         # after the profile's own reporting delay.
-        self._report_delay_us = max(
-            (v.detection_delay_us for v in chain.vnfs if isinstance(v, MitigationProfile)),
-            default=0,
-        )
+        self._report_delay_us = max((p.detection_delay_us for p in profiles), default=0)
         self.label = label
         self.aggregator = WindowAggregator(window_s, memory_base_mb=memory_base_mb)
         self.trace: list[tuple] | None = [] if collect_trace else None
@@ -438,7 +432,7 @@ class NetworkSim:
         kb = 0.0
         for vnf in self.chain.vnfs:
             if isinstance(vnf, MitigationProfile):
-                kb += vnf.tracked_flows * vnf.memory_kb_per_flow
+                kb += vnf.tracked_flows * vnf.settings.memory_kb_per_flow
             tracked = getattr(vnf, "tracked_sources", None)
             if tracked is not None:
                 kb += tracked * IDS_KB_PER_SOURCE

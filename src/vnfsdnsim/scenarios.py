@@ -26,13 +26,15 @@ from dataclasses import dataclass, fields, replace
 from functools import cache
 from importlib import resources
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import Literal, get_args, get_type_hints
 
 from .config import (
     ConfigError,
     PROFILE_PREFIX,
     ScenarioConfig,
+    _build,
     canonical_json,
+    load_tree,
 )
 from .engine import SimEngine
 from .metrics import (
@@ -43,14 +45,13 @@ from .metrics import (
     WindowRow,
     check_hypothesis1,
 )
-from .model import ThreatKind, build_topology
+from .model import build_topology
 from .runtime import NetworkSim, RunResult
 from .sdn import Controller
 from .vnf import (
     CAPTURE_FORMAT_VERSION,
     CaptureVnf,
     FilterVnf,
-    FirewallRule,
     FirewallVnf,
     IdsVnf,
     MitigationProfile,
@@ -87,55 +88,25 @@ def build_chain(
 ) -> tuple[VnfChain, CaptureVnf | None, bool]:
     """Realise a security-config label as (chain, capture tap, flow rules on)."""
     sec = cfg.security
-
-    def firewall() -> FirewallVnf:
-        rules = []
-        for spec in sec.firewall_rules:
-            rules.append(
-                FirewallRule(
-                    action=spec.action,
-                    src=topology.by_name(spec.src).id if spec.src else None,
-                    dst=topology.by_name(spec.dst).id if spec.dst else None,
-                    protocol=spec.protocol,
-                )
-            )
-        return FirewallVnf(rules=rules)
-
-    def ids() -> IdsVnf:
-        return IdsVnf(
-            signatures=frozenset(ThreatKind(v) for v in sec.ids.signatures),
-            anomaly_window_s=sec.ids.anomaly_window_s,
-            anomaly_threshold_pps=sec.ids.anomaly_threshold_pps,
-        )
-
     capture = None
     if label == "no_security":
         return VnfChain([]), None, False
     if label == "firewall_only":
-        return VnfChain([firewall()]), None, True
+        return VnfChain([FirewallVnf(sec.firewall_rules, topology)]), None, True
     if label == "ids_only":
-        return VnfChain([ids()]), None, True
+        return VnfChain([IdsVnf(sec.ids)]), None, True
     if label in ("vnfsdn", "vnfsdn_firewall"):
         vnfs = [FilterVnf(policy=cfg.policy)]
         if label == "vnfsdn_firewall":
-            vnfs.append(firewall())
-        vnfs.append(ids())
+            vnfs.append(FirewallVnf(sec.firewall_rules, topology))
+        vnfs.append(IdsVnf(sec.ids))
         if sec.capture and capture_folder is not None:
             capture = CaptureVnf(capture_folder, engine.seed)
         return VnfChain(vnfs), capture, True
     if label.startswith(PROFILE_PREFIX):
         name = label[len(PROFILE_PREFIX):]
-        p = sec.profiles[name]
-        profile = MitigationProfile(
-            name=name,
-            detection_probability=p.detection_probability,
-            detection_delay_us=p.detection_delay_us,
-            cost_us=p.cost_us,
-            memory_kb_per_flow=p.memory_kb_per_flow,
-            prioritize_benign=p.prioritize_benign,
-            rng=engine.register_stream(f"profile/{name}"),
-        )
-        return VnfChain([profile]), None, True
+        rng = engine.register_stream(f"profile/{name}")
+        return VnfChain([MitigationProfile(name, sec.profiles[name], rng)]), None, True
     raise ConfigError(f"unknown security config {label!r}")
 
 
@@ -158,14 +129,7 @@ def run_one(
     if out_dir is not None:
         capture_folder = Path(out_dir) / "captures" / f"s{cfg.scenario}_{label}"
     chain, capture, flow_rules = build_chain(label, cfg, engine, topology, capture_folder)
-    controller = Controller(
-        topology,
-        congestion_threshold=cfg.controller.congestion_threshold,
-        congestion_penalty=cfg.controller.congestion_penalty,
-        drop_idle_timeout_s=cfg.controller.drop_idle_timeout_s,
-        install_delay_us=cfg.controller.install_delay_us,
-        flow_rules=flow_rules,
-    )
+    controller = Controller(topology, cfg.controller, flow_rules=flow_rules)
     sim = NetworkSim(
         topology,
         engine,
@@ -260,7 +224,7 @@ def run_scenario(
     )
     if targets is None:
         targets = CalibrationTargets.shipped()
-    relevant = [t for t in targets.entries if t.scenario == scenario_id]
+    relevant = [t for t in targets.targets if t.scenario == scenario_id]
     if relevant:
         comparison = compare_to_targets(result, targets)
         result.checks = tuple(comparison.checks)
@@ -276,7 +240,7 @@ class TargetSpec:
     name: str
     scenario: int
     value: float
-    comparator: str  # "abs" | "ge" | "le"
+    comparator: Literal["abs", "ge", "le"] = "abs"
     tolerance: float | None = None
     tolerance_pct: float | None = None
     normative: bool = True
@@ -290,40 +254,24 @@ class TargetSpec:
         tol = self.tolerance if self.tolerance is not None else self.tolerance_pct
         if tol <= 0:
             raise ValueError(f"target {self.name}: tolerance must be positive")
-        if self.comparator not in ("abs", "ge", "le"):
-            raise ValueError(f"target {self.name}: bad comparator {self.comparator!r}")
         if self.scale_with_duration and not self.reference_duration_s:
             raise ValueError(f"target {self.name}: scaling needs a reference duration")
 
 
 @dataclass(frozen=True)
 class CalibrationTargets:
-    entries: tuple[TargetSpec, ...]
+    """A targets file; ``from_dict`` reads it through the config schema walker."""
+
+    targets: tuple[TargetSpec, ...] = ()
+    comment: str = ""
 
     @staticmethod
     def from_dict(tree: dict) -> "CalibrationTargets":
-        entries = []
-        for t in tree.get("targets", ()):
-            entries.append(
-                TargetSpec(
-                    name=t["name"],
-                    scenario=int(t["scenario"]),
-                    value=float(t["value"]),
-                    comparator=t.get("comparator", "abs"),
-                    tolerance=t.get("tolerance"),
-                    tolerance_pct=t.get("tolerance_pct"),
-                    normative=bool(t.get("normative", True)),
-                    scale_with_duration=bool(t.get("scale_with_duration", False)),
-                    reference_duration_s=t.get("reference_duration_s"),
-                    note=t.get("note", ""),
-                )
-            )
-        return CalibrationTargets(tuple(entries))
+        return _build(CalibrationTargets, tree, "")
 
     @staticmethod
     def load(path: str | Path) -> "CalibrationTargets":
-        with open(path, "r", encoding="utf-8") as fh:
-            return CalibrationTargets.from_dict(json.load(fh))
+        return CalibrationTargets.from_dict(load_tree(path))
 
     @staticmethod
     def shipped() -> "CalibrationTargets":
@@ -412,7 +360,7 @@ def compare_to_targets(
     """
     checks = []
     skipped = []
-    for spec in targets.entries:
+    for spec in targets.targets:
         if spec.scenario != result.scenario:
             continue
         expected = spec.value

@@ -8,7 +8,8 @@ Data-plane verdicts feed back into the control plane: a Block verdict is
 generalised to the packet's flow and installed as an ingress drop rule, so
 subsequent packets of that flow die at the edge without traversing the
 security chain.  Drop rules expire after an idle timeout; matching a rule
-(including matching it to drop a packet) refreshes the timer.
+(including matching it to drop a packet) refreshes the timer.  The
+controller takes the ``ControllerSettings`` config section declared here.
 """
 
 from __future__ import annotations
@@ -16,12 +17,27 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .model import NodeId, Packet, Topology
+from .model import NON_NEGATIVE, POSITIVE, NodeId, Packet, Topology, require
 from .vnf import Verdict
 
 
 class NoPath(Exception):
     """Source and destination are not connected."""
+
+
+@dataclass(frozen=True)
+class ControllerSettings:
+    """The ``controller`` config section."""
+
+    install_delay_us: int = 1000
+    drop_idle_timeout_s: float = 30.0
+    congestion_threshold: float = 0.8
+    congestion_penalty: float = 10.0
+
+    def __post_init__(self) -> None:
+        require(self, NON_NEGATIVE, "install_delay_us")
+        require(self, POSITIVE, "drop_idle_timeout_s")
+        require(self, ("in (0, 1]", lambda v: 0 < v <= 1), "congestion_threshold")
 
 
 @dataclass(frozen=True)
@@ -60,20 +76,13 @@ class Controller:
     def __init__(
         self,
         topology: Topology,
+        settings: ControllerSettings = ControllerSettings(),
         *,
-        congestion_threshold: float = 0.8,
-        congestion_penalty: float = 10.0,
-        drop_idle_timeout_s: float = 30.0,
-        install_delay_us: int = 1000,
         flow_rules: bool = True,
     ):
-        if not 0.0 < congestion_threshold <= 1.0:
-            raise ValueError(f"congestion threshold must be in (0, 1], got {congestion_threshold}")
         self.topology = topology
-        self.congestion_threshold = congestion_threshold
-        self.congestion_penalty = congestion_penalty
-        self.drop_idle_timeout_us = int(drop_idle_timeout_s * 1_000_000)
-        self.install_delay_us = install_delay_us
+        self.settings = settings
+        self._idle_timeout_us = int(settings.drop_idle_timeout_s * 1_000_000)
         self.flow_rules = flow_rules
         # At most one rule per flow; a reinstall replaces it.
         self._rules: dict[FlowKey, FlowRule] = {}
@@ -168,11 +177,11 @@ class Controller:
             return None
         if not self.flow_rules:
             return None
-        active_from = now_us + self.install_delay_us + extra_delay_us
+        active_from = now_us + self.settings.install_delay_us + extra_delay_us
         rule = FlowRule(
             key=flow_key_for(packet),
             installed_at=active_from,
-            idle_timeout_us=self.drop_idle_timeout_us,
+            idle_timeout_us=self._idle_timeout_us,
             last_match=active_from,
             reason=verdict.reason.value if verdict.reason else "",
         )
@@ -197,9 +206,6 @@ class Controller:
     def active_rule_count(self, now_us: int) -> int:
         return sum(1 for r in self._rules.values() if r.active(now_us))
 
-    def rules(self) -> list[FlowRule]:
-        return list(self._rules.values())
-
     # ------------------------------------------------------------------
     # congestion
 
@@ -213,10 +219,10 @@ class Controller:
         penalty.  Flows with no alternative keep their route.  Returns the
         (src, dst, new_path) triples that actually moved.
         """
-        if occupancy <= self.congestion_threshold:
+        if occupancy <= self.settings.congestion_threshold:
             return []
         hot = frozenset(link_nodes)
-        penalty = {hot: self.congestion_penalty}
+        penalty = {hot: self.settings.congestion_penalty}
         moved = []
         for (src, dst), path in list(self._routes.items()):
             if not _path_uses(path, hot):

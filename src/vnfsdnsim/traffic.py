@@ -13,7 +13,17 @@ from dataclasses import dataclass, field
 from typing import Callable, Literal
 
 from .engine import EventKind, SimEngine, SimTime, seconds
-from .model import NodeId, Packet, PacketClass, ThreatKind
+from .model import (
+    FRACTION,
+    MAX_PACKET_BYTES,
+    NON_NEGATIVE,
+    PACKET_SIZE,
+    NodeId,
+    Packet,
+    PacketClass,
+    ThreatKind,
+    require,
+)
 
 PacketSink = Callable[[Packet], None]
 IdAllocator = Callable[[], int]
@@ -36,10 +46,9 @@ class ActivityWindow:
 
     def __post_init__(self) -> None:
         if self.burst_period_s is not None:
-            if self.burst_on_s is None or not 0 < self.burst_on_s <= self.burst_period_s:
-                raise ValueError(
-                    f"burst_on_s must be in (0, {self.burst_period_s}], got {self.burst_on_s}"
-                )
+            in_cycle = (f"in (0, {self.burst_period_s}]",
+                        lambda on: on is not None and 0 < on <= self.burst_period_s)
+            require(self, in_cycle, "burst_on_s")
 
     def wall_us(self, active_s: float) -> SimTime:
         """Map a point on the active axis to wall-clock microseconds."""
@@ -60,14 +69,17 @@ class SizeDist:
     lo: int
     hi: int | None = None
 
+    def __post_init__(self) -> None:
+        require(self, PACKET_SIZE, "lo")
+        if self.hi is not None:
+            in_range = (f"in [{self.lo}, {MAX_PACKET_BYTES}]",
+                        lambda hi: self.lo <= hi <= MAX_PACKET_BYTES)
+            require(self, in_range, "hi")
+
     def draw(self, stream) -> int:
         if self.hi is None or self.hi == self.lo:
             return self.lo
         return stream.uniform_int(self.lo, self.hi)
-
-    @staticmethod
-    def fixed(size: int) -> "SizeDist":
-        return SizeDist(size)
 
 
 @dataclass(frozen=True)
@@ -94,6 +106,12 @@ class BenignProfile:
     measured: bool = True
     window: ActivityWindow = ActivityWindow()
 
+    def __post_init__(self) -> None:
+        require(self, NON_NEGATIVE, "rate_pps")
+        require(self, FRACTION, "request_fraction")
+        text, legal = PACKET_SIZE
+        require(self, (f"0 or {text}", lambda n: n == 0 or legal(n)), "response_size")
+
 
 @dataclass(frozen=True)
 class DdosProfile:
@@ -115,6 +133,9 @@ class DdosProfile:
     protocol: str = "synflood"
     window: ActivityWindow = ActivityWindow()
 
+    def __post_init__(self) -> None:
+        require(self, NON_NEGATIVE, "rate_multiplier", "base_rate_pps")
+
     @property
     def rate_pps_per_attacker(self) -> float:
         return self.rate_multiplier * self.base_rate_pps
@@ -135,8 +156,8 @@ class AccessProfile:
     protocol: str = "tcp"
     window: ActivityWindow = ActivityWindow()
 
-
-TrafficProfile = BenignProfile | DdosProfile | AccessProfile
+    def __post_init__(self) -> None:
+        require(self, NON_NEGATIVE, "authorized_pps", "unauthorized_pps")
 
 
 def _poisson_chain(

@@ -12,8 +12,12 @@ function implements monitor-mode recording.  While monitoring is active the
 runtime hands it every packet the chain blocks at a switch; packets that
 the chain forwards, or that an installed drop rule consumes before the
 chain, are not captured.  Each captured packet is appended to an in-memory
-buffer and counted, and ``stop_and_save`` persists the buffer as one
-line-delimited record file.
+buffer, and ``stop_and_save`` persists the buffer as one line-delimited
+record file.
+
+The firewall, the intrusion detector and the mitigation profiles take the
+config sections declared here: ``FirewallRule``, ``IdsSettings`` and
+``ProfileSettings``.
 """
 
 from __future__ import annotations
@@ -23,13 +27,20 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import Iterable, Literal
 
 from .engine import RngStream
-from .model import Packet, PacketClass, SecurityPolicy, ThreatKind
-
-
-class InactiveVnf(Exception):
-    """A packet was offered to a function that is administratively down."""
+from .model import (
+    FRACTION,
+    NON_NEGATIVE,
+    POSITIVE,
+    Packet,
+    PacketClass,
+    SecurityPolicy,
+    ThreatKind,
+    Topology,
+    require,
+)
 
 
 class MonitoringStopped(Exception):
@@ -81,16 +92,15 @@ class FilterVnf:
 
     Forwards a packet iff its tag is authorised and it is not an
     unauthorised-access attempt; blocks everything else as a policy
-    mismatch.  Inspecting while inactive is an error, not a silent pass.
+    mismatch.
     """
 
     policy: SecurityPolicy
-    active: bool = True
-    cost_us: int = 2
+
+    #: Processing cost of one packet, in us.
+    cost_us = 2
 
     def check(self, packet: Packet, now_us: int = 0) -> Verdict:
-        if not self.active:
-            raise InactiveVnf("packet filter is not active")
         if self.policy.accepts(packet.tag) and packet.cls is not PacketClass.UNAUTHORIZED_ACCESS:
             return FORWARD
         return block(BlockReason.POLICY_MISMATCH)
@@ -98,41 +108,53 @@ class FilterVnf:
 
 @dataclass(frozen=True)
 class FirewallRule:
-    """Static allow/deny rule; ``None`` fields match anything."""
+    """One ``security.firewall_rules`` entry: a static allow/deny rule.
 
-    action: str  # "allow" | "deny"
-    src: int | None = None
-    dst: int | None = None
+    ``src`` and ``dst`` are node names; ``None`` fields match anything.
+    """
+
+    action: Literal["allow", "deny"]
+    src: str | None = None
+    dst: str | None = None
     protocol: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.action not in ("allow", "deny"):
-            raise ValueError(f"firewall action must be allow|deny, got {self.action!r}")
 
-    def matches(self, packet: Packet) -> bool:
-        return (
-            (self.src is None or self.src == packet.src)
-            and (self.dst is None or self.dst == packet.dst)
-            and (self.protocol is None or self.protocol == packet.protocol)
-        )
-
-
-@dataclass
 class FirewallVnf:
-    """First-match static rule table with a configurable default action."""
+    """First-match static rule table; a packet no rule matches is allowed."""
 
-    rules: list[FirewallRule] = field(default_factory=list)
-    default_allow: bool = True
-    active: bool = True
-    cost_us: int = 1
+    cost_us = 1
+
+    def __init__(self, rules: Iterable[FirewallRule], topology: Topology):
+        def node_id(name: str | None) -> int | None:
+            return None if name is None else topology.by_name(name).id
+
+        # (allow, src id, dst id, protocol) per rule
+        self._table = [
+            (rule.action == "allow", node_id(rule.src), node_id(rule.dst), rule.protocol)
+            for rule in rules
+        ]
 
     def check(self, packet: Packet, now_us: int = 0) -> Verdict:
-        if not self.active:
-            raise InactiveVnf("firewall is not active")
-        for rule in self.rules:
-            if rule.matches(packet):
-                return FORWARD if rule.action == "allow" else block(BlockReason.FIREWALL_RULE)
-        return FORWARD if self.default_allow else block(BlockReason.FIREWALL_RULE)
+        for allow, src, dst, protocol in self._table:
+            if (
+                (src is None or src == packet.src)
+                and (dst is None or dst == packet.dst)
+                and (protocol is None or protocol == packet.protocol)
+            ):
+                return FORWARD if allow else block(BlockReason.FIREWALL_RULE)
+        return FORWARD
+
+
+@dataclass(frozen=True)
+class IdsSettings:
+    """The ``security.ids`` config section."""
+
+    signatures: frozenset[ThreatKind] = frozenset()
+    anomaly_window_s: float = 1.0
+    anomaly_threshold_pps: float = 1000.0
+
+    def __post_init__(self) -> None:
+        require(self, POSITIVE, "anomaly_window_s", "anomaly_threshold_pps")
 
 
 @dataclass
@@ -144,25 +166,24 @@ class IdsVnf:
     window is compared against the anomaly threshold.
     """
 
-    signatures: frozenset[ThreatKind] = frozenset()
-    anomaly_window_s: float = 1.0
-    anomaly_threshold_pps: float = 1000.0
-    active: bool = True
-    cost_us: int = 5
+    settings: IdsSettings
     _arrivals: dict[int, deque[int]] = field(default_factory=dict, repr=False)
 
+    cost_us = 5
+
+    def __post_init__(self) -> None:
+        self._window_us = int(self.settings.anomaly_window_s * 1_000_000)
+
     def check(self, packet: Packet, now_us: int) -> Verdict:
-        if not self.active:
-            raise InactiveVnf("intrusion detector is not active")
-        window_us = int(self.anomaly_window_s * 1_000_000)
+        settings = self.settings
         history = self._arrivals.setdefault(packet.src, deque())
-        cutoff = now_us - window_us
+        cutoff = now_us - self._window_us
         while history and history[0] <= cutoff:
             history.popleft()
         history.append(now_us)
-        if packet.threat_kind is not None and packet.threat_kind in self.signatures:
+        if packet.threat_kind is not None and packet.threat_kind in settings.signatures:
             return block(BlockReason.IDS_SIGNATURE)
-        if len(history) / self.anomaly_window_s > self.anomaly_threshold_pps:
+        if len(history) / settings.anomaly_window_s > settings.anomaly_threshold_pps:
             return block(BlockReason.IDS_ANOMALY)
         return FORWARD
 
@@ -171,41 +192,49 @@ class IdsVnf:
         return len(self._arrivals)
 
 
-@dataclass
-class MitigationProfile:
-    """Baseline mitigation behaviour used for approach comparisons.
+@dataclass(frozen=True)
+class ProfileSettings:
+    """One entry of the ``security.profiles`` config section.
 
-    Threat packets are detected with ``detection_probability`` (one draw per
-    packet from the injected stream); a detection takes ``detection_delay_us``
-    to propagate to the control plane.  ``prioritize_benign`` marks profiles
-    that schedule benign traffic ahead of everything else instead of (or in
-    addition to) blocking.
+    Threat packets are detected with ``detection_probability``; a detection
+    takes ``detection_delay_us`` to propagate to the control plane.
+    ``prioritize_benign`` marks profiles that schedule benign traffic ahead
+    of everything else instead of (or in addition to) blocking.
     """
 
-    name: str
     detection_probability: float
     detection_delay_us: int = 0
     cost_us: int = 3
     memory_kb_per_flow: float = 8.0
     prioritize_benign: bool = False
-    active: bool = True
-    rng: RngStream | None = None
-    _flows: set[tuple[int, int, str]] = field(default_factory=set, repr=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.detection_probability <= 1.0:
-            raise ValueError(
-                f"detection probability must be in [0, 1], got {self.detection_probability}"
-            )
+        require(self, FRACTION, "detection_probability")
+        require(self, NON_NEGATIVE, "detection_delay_us", "cost_us", "memory_kb_per_flow")
+
+
+@dataclass
+class MitigationProfile:
+    """Baseline mitigation behaviour used for approach comparisons.
+
+    Each threat packet costs one draw from ``rng`` when the detection
+    probability is above zero.
+    """
+
+    name: str
+    settings: ProfileSettings
+    rng: RngStream
+    _flows: set[tuple[int, int, str]] = field(default_factory=set, repr=False)
+
+    @property
+    def cost_us(self) -> int:
+        return self.settings.cost_us
 
     def check(self, packet: Packet, now_us: int = 0) -> Verdict:
-        if not self.active:
-            raise InactiveVnf(f"profile {self.name!r} is not active")
         self._flows.add((packet.src, packet.dst, packet.tag))
-        if packet.cls is PacketClass.THREAT and self.detection_probability > 0.0:
-            if self.rng is None:
-                raise ValueError(f"profile {self.name!r} has no random stream attached")
-            if self.rng.uniform() < self.detection_probability:
+        probability = self.settings.detection_probability
+        if packet.cls is PacketClass.THREAT and probability > 0.0:
+            if self.rng.uniform() < probability:
                 return block(BlockReason.PROFILE_DETECTION)
         return FORWARD
 
@@ -267,16 +296,14 @@ class CaptureVnf:
     #: Processing cost of one captured packet, in us.
     cost_us = 1
 
-    def __init__(self, folder: str | Path, run_seed: int, *, started_at_us: int = 0):
+    def __init__(self, folder: str | Path, run_seed: int):
         self.folder = Path(folder)
         self.run_seed = run_seed
-        self.started_at_us = started_at_us
         self.monitoring = True
         self.buffer: list[CaptureRecord] = []
-        self.capture_count = 0
 
     def capture(self, packet: Packet, verdict: Verdict, now_us: int) -> CaptureRecord:
-        """Record one packet and bump the running count."""
+        """Append one packet to the buffer."""
         if not self.monitoring:
             raise MonitoringStopped("capture invoked after monitoring stopped")
         record = CaptureRecord(
@@ -291,7 +318,6 @@ class CaptureVnf:
             verdict_label=verdict.label,
         )
         self.buffer.append(record)
-        self.capture_count += 1
         return record
 
     def header_object(self) -> dict:
@@ -306,7 +332,7 @@ class CaptureVnf:
     def stop_and_save(self) -> Path:
         """Stop monitoring, persist the buffer, clear it, return the file path."""
         self.monitoring = False
-        path = self.folder / f"capture_{self.run_seed}_{self.started_at_us}{CAPTURE_SUFFIX}"
+        path = self.folder / f"capture_{self.run_seed}_0{CAPTURE_SUFFIX}"
         try:
             self.folder.mkdir(parents=True, exist_ok=True)
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -338,6 +364,3 @@ class VnfChain:
             if not verdict.forward:
                 return verdict, cost
         return FORWARD, cost
-
-    def __len__(self) -> int:
-        return len(self.vnfs)

@@ -43,8 +43,16 @@ from vnfsdnsim.scenarios import (
     run_scenario,
     verify_hypothesis1,
 )
-from vnfsdnsim.sdn import Controller
-from vnfsdnsim.vnf import BlockReason, CaptureVnf, IdsVnf, Verdict, VnfChain, block
+from vnfsdnsim.sdn import Controller, ControllerSettings
+from vnfsdnsim.vnf import (
+    BlockReason,
+    CaptureVnf,
+    IdsSettings,
+    IdsVnf,
+    Verdict,
+    VnfChain,
+    block,
+)
 
 
 def stamp(name: str, detail: str) -> None:
@@ -299,7 +307,7 @@ def test_junk_traffic_calibration(junk_traffic_study):
 def test_capture_round_trip_at_volume(tmp_path):
     t0 = time.monotonic()
     n = 10_000
-    cap = CaptureVnf(tmp_path, run_seed=33, started_at_us=500)
+    cap = CaptureVnf(tmp_path, run_seed=33)
     rng = RngStream(33, "capture-fuzz")
     classes = (PacketClass.BENIGN, PacketClass.THREAT, PacketClass.UNAUTHORIZED_ACCESS)
     reasons = tuple(BlockReason)
@@ -320,7 +328,7 @@ def test_capture_round_trip_at_volume(tmp_path):
         verdict = Verdict(True) if i % 2 else block(reasons[i % len(reasons)])
         record = cap.capture(pkt, verdict, now_us=i * 3)
         expected.append(record.as_object())
-    assert cap.capture_count == n
+    assert len(cap.buffer) == n
     path = cap.stop_and_save()
 
     listing = capture_dump(path)  # validates format and version
@@ -382,8 +390,8 @@ def test_routing_oracle_and_rule_blackholing():
     #     delivery resumes once the rule idles out
     topology = build_topology(StarSpec(hosts=2))
     engine = SimEngine(5)
-    controller = Controller(topology, drop_idle_timeout_s=0.2)
-    ids = IdsVnf(signatures=frozenset(), anomaly_window_s=1.0, anomaly_threshold_pps=2.0)
+    controller = Controller(topology, ControllerSettings(drop_idle_timeout_s=0.2))
+    ids = IdsVnf(IdsSettings(anomaly_window_s=1.0, anomaly_threshold_pps=2.0))
     sim = NetworkSim(topology, engine, controller, VnfChain([ids]), collect_trace=True)
     sim.attach_traffic(2.0)
     send_times_ms = (0, 100, 200, 350, 500, 650, 1500)

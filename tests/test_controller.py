@@ -17,7 +17,7 @@ from vnfsdnsim.model import (
     Topology,
     build_topology,
 )
-from vnfsdnsim.sdn import Controller, FlowRule, NoPath, flow_key_for
+from vnfsdnsim.sdn import Controller, ControllerSettings, FlowRule, NoPath, flow_key_for
 from vnfsdnsim.vnf import BlockReason, Verdict, block
 
 
@@ -99,12 +99,13 @@ def test_route_rejects_degenerate_queries():
     with pytest.raises(ValueError):
         controller.compute_route(1, 1)
     with pytest.raises(ValueError):
-        Controller(topology, congestion_threshold=0.0)
+        ControllerSettings(congestion_threshold=0.0)
 
 
 def test_block_verdict_installs_delayed_drop_rule():
     topology = build_topology(StarSpec(hosts=2))
-    controller = Controller(topology, install_delay_us=1000, drop_idle_timeout_s=0.01)
+    settings = ControllerSettings(install_delay_us=1000, drop_idle_timeout_s=0.01)
+    controller = Controller(topology, settings)
     pkt = flood_packet(src=0, dst=3)
     rule = controller.on_verdict(pkt, block(BlockReason.IDS_SIGNATURE), now_us=5000)
     assert rule.installed_at == 6000
@@ -119,7 +120,9 @@ def test_block_verdict_installs_delayed_drop_rule():
 
 
 def test_detection_delay_postpones_activation():
-    controller = Controller(build_topology(StarSpec(hosts=2)), install_delay_us=1000)
+    controller = Controller(
+        build_topology(StarSpec(hosts=2)), ControllerSettings(install_delay_us=1000)
+    )
     rule = controller.on_verdict(
         flood_packet(), block(BlockReason.PROFILE_DETECTION), now_us=0, extra_delay_us=2500
     )
@@ -128,7 +131,8 @@ def test_detection_delay_postpones_activation():
 
 def test_idle_timeout_with_refresh_on_match():
     controller = Controller(
-        build_topology(StarSpec(hosts=2)), install_delay_us=0, drop_idle_timeout_s=0.01
+        build_topology(StarSpec(hosts=2)),
+        ControllerSettings(install_delay_us=0, drop_idle_timeout_s=0.01),
     )
     pkt = flood_packet(src=0, dst=3)
     rule = controller.on_verdict(pkt, block(BlockReason.IDS_ANOMALY), now_us=0)
@@ -143,12 +147,13 @@ def test_idle_timeout_with_refresh_on_match():
 
 def test_lookup_evicts_expired_rules():
     controller = Controller(
-        build_topology(StarSpec(hosts=2)), install_delay_us=0, drop_idle_timeout_s=0.001
+        build_topology(StarSpec(hosts=2)),
+        ControllerSettings(install_delay_us=0, drop_idle_timeout_s=0.001),
     )
     pkt = flood_packet()
     rule = controller.on_verdict(pkt, block(BlockReason.IDS_ANOMALY), now_us=0)
     assert controller.lookup(pkt, 500_000) == ("chain", None)
-    assert rule not in controller.rules()
+    assert rule not in controller._rules.values()
 
 
 def test_reinstall_replaces_prior_rule():
@@ -156,7 +161,7 @@ def test_reinstall_replaces_prior_rule():
     pkt = flood_packet()
     first = controller.on_verdict(pkt, block(BlockReason.IDS_ANOMALY), now_us=0)
     second = controller.on_verdict(pkt, block(BlockReason.IDS_SIGNATURE), now_us=100)
-    assert controller.rules_installed == 2 and len(controller.rules()) == 1
+    assert controller.rules_installed == 2 and len(controller._rules) == 1
     assert not controller.is_current(first) and controller.is_current(second)
 
 
@@ -164,7 +169,7 @@ def test_forward_verdict_only_warms_route_cache():
     controller = Controller(build_topology(StarSpec(hosts=2)))
     pkt = flood_packet(src=0, dst=3)
     assert controller.on_verdict(pkt, Verdict(True), now_us=0) is None
-    assert controller.rules() == [] and controller.rules_installed == 0
+    assert controller._rules == {} and controller.rules_installed == 0
     assert controller.route(0, 3)[0] == 0
 
 
@@ -177,7 +182,8 @@ def test_flow_rule_generalisation_can_be_disabled():
 
 
 def test_congestion_moves_flows_off_the_hot_link():
-    controller = Controller(diamond(), congestion_threshold=0.8, congestion_penalty=10.0)
+    settings = ControllerSettings(congestion_threshold=0.8, congestion_penalty=10.0)
+    controller = Controller(diamond(), settings)
     assert controller.route(0, 3) == (0, 1, 3)
     assert controller.handle_congestion((0, 1), occupancy=0.5) == []
     moved = controller.handle_congestion((0, 1), occupancy=0.9)

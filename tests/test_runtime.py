@@ -22,24 +22,36 @@ from vnfsdnsim.model import (
     build_topology,
 )
 from vnfsdnsim.runtime import NetworkSim, service_time_us
-from vnfsdnsim.sdn import Controller
+from vnfsdnsim.sdn import Controller, ControllerSettings
 from vnfsdnsim.traffic import BenignProfile, DdosProfile, SizeDist
-from vnfsdnsim.vnf import FilterVnf, IdsVnf, MitigationProfile, VnfChain
+from vnfsdnsim.vnf import (
+    FilterVnf,
+    IdsSettings,
+    IdsVnf,
+    MitigationProfile,
+    ProfileSettings,
+    VnfChain,
+)
 
 GOLD_ONLY = SecurityPolicy(accepted_tags=frozenset({"gold"}))
 # 1 Mbps trunk: a 1000-byte packet serialises in 8000 us; queue of 2.
 SLOW_TRUNK = LinkParams(latency_us=800, bandwidth_bps=1_000_000, queue_capacity=2)
 
 
-def make_sim(*, trunk=None, vnfs=(), qos=False, ctrl=None, seed=1, hosts=2):
+def make_sim(*, trunk=None, vnfs=(), ctrl=ControllerSettings(), seed=1, hosts=2):
     spec = StarSpec(hosts=hosts) if trunk is None else StarSpec(hosts=hosts, trunk=trunk)
     topology = build_topology(spec)
     engine = SimEngine(seed)
-    controller = Controller(topology, **(ctrl or {}))
+    controller = Controller(topology, ctrl)
     return NetworkSim(
-        topology, engine, controller, VnfChain(list(vnfs)),
-        qos_priority=qos, collect_trace=True,
+        topology, engine, controller, VnfChain(list(vnfs)), collect_trace=True,
     )
+
+
+def qos_profile():
+    """A profile that never blocks and schedules benign traffic first."""
+    settings = ProfileSettings(detection_probability=0.0, prioritize_benign=True)
+    return MitigationProfile("q", settings, SimEngine(1).register_stream("q"))
 
 
 def inject_at(sim, t_us, pid, *, src=0, dst=None, size=1000, cls=PacketClass.BENIGN,
@@ -111,7 +123,7 @@ def test_queue_overflow_tail_drops():
 
 
 def test_benign_first_scheduling_pushes_out_queued_junk():
-    sim = make_sim(trunk=SLOW_TRUNK, qos=True)
+    sim = make_sim(trunk=SLOW_TRUNK, vnfs=[qos_profile()])
     sim.attach_traffic(0.05)
     for i, t in enumerate((0, 10, 20)):
         inject_at(sim, t, pid=i, cls=PacketClass.THREAT, tag="junk",
@@ -126,7 +138,7 @@ def test_benign_first_scheduling_pushes_out_queued_junk():
 
 
 def test_without_priority_the_late_benign_packet_drops():
-    sim = make_sim(trunk=SLOW_TRUNK, qos=False)
+    sim = make_sim(trunk=SLOW_TRUNK)
     sim.attach_traffic(0.05)
     for i, t in enumerate((0, 10, 20)):
         inject_at(sim, t, pid=i, cls=PacketClass.THREAT, tag="junk",
@@ -138,15 +150,14 @@ def test_without_priority_the_late_benign_packet_drops():
 
 
 def test_mitigation_profile_declares_benign_priority():
-    profile = MitigationProfile(name="q", detection_probability=0.0, prioritize_benign=True)
-    sim = make_sim(vnfs=[profile])
-    assert sim.qos_priority
+    assert make_sim(vnfs=[qos_profile()]).qos_priority
+    assert not make_sim().qos_priority
 
 
 def test_blocked_flow_delivers_nothing_until_rule_expiry():
     sim = make_sim(
         vnfs=[FilterVnf(policy=GOLD_ONLY)],
-        ctrl={"drop_idle_timeout_s": 0.05},  # install delay stays 1000 us
+        ctrl=ControllerSettings(drop_idle_timeout_s=0.05),  # install delay stays 1000 us
     )
     sim.attach_traffic(0.25)
     for i, t_ms in enumerate((0, 10, 20, 30, 40, 200)):
@@ -173,7 +184,7 @@ def test_blocked_flow_delivers_nothing_until_rule_expiry():
 
 
 def test_detection_clock_starts_at_first_threat_emission():
-    sim = make_sim(vnfs=[IdsVnf(signatures=frozenset({ThreatKind.SYN_FLOOD}))])
+    sim = make_sim(vnfs=[IdsVnf(IdsSettings(signatures=frozenset({ThreatKind.SYN_FLOOD})))])
     sim.attach_traffic(0.01)
     inject_at(sim, 0, pid=1, cls=PacketClass.THREAT, tag="syn",
               threat_kind=ThreatKind.SYN_FLOOD)
@@ -186,7 +197,7 @@ def test_detection_clock_starts_at_first_threat_emission():
 
 
 def test_anomaly_detection_latency_spans_the_undetected_prefix():
-    ids = IdsVnf(signatures=frozenset(), anomaly_window_s=1.0, anomaly_threshold_pps=2.0)
+    ids = IdsVnf(IdsSettings(anomaly_window_s=1.0, anomaly_threshold_pps=2.0))
     sim = make_sim(vnfs=[ids])
     sim.attach_traffic(0.1)
     for i, t_ms in enumerate((0, 10, 20)):
@@ -203,8 +214,8 @@ def test_anomaly_detection_latency_spans_the_undetected_prefix():
 
 def test_profile_reporting_delay_defers_rule_activation():
     profile = MitigationProfile(
-        name="slowpoke", detection_probability=1.0, detection_delay_us=5000,
-        rng=SimEngine(1).register_stream("p"),
+        "slowpoke", ProfileSettings(detection_probability=1.0, detection_delay_us=5000),
+        SimEngine(1).register_stream("p"),
     )
     sim = make_sim(vnfs=[profile])
     sim.attach_traffic(0.01)

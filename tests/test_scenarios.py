@@ -276,18 +276,20 @@ def test_target_spec_validation():
     with pytest.raises(ValueError):
         TargetSpec(name="x", scenario=1, value=1.0, comparator="abs", tolerance=-2.0)
     with pytest.raises(ValueError):
-        TargetSpec(name="x", scenario=1, value=1.0, comparator="between", tolerance=1.0)
-    with pytest.raises(ValueError):
         TargetSpec(name="x", scenario=1, value=1.0, comparator="abs", tolerance=1.0,
                    scale_with_duration=True)
+    between = {"name": "x", "scenario": 1, "value": 1.0, "comparator": "between",
+               "tolerance": 1.0}
+    with pytest.raises(ConfigError, match=re.escape("targets.0.comparator")):
+        CalibrationTargets.from_dict({"targets": [between]})
 
 
 def test_shipped_targets_are_wellformed():
     targets = CalibrationTargets.shipped()
-    names = [t.name for t in targets.entries]
+    names = [t.name for t in targets.targets]
     assert len(names) == len(set(names)) == 15
-    assert {t.scenario for t in targets.entries} == {1, 4, 5}
-    informational = [t for t in targets.entries if not t.normative]
+    assert {t.scenario for t in targets.targets} == {1, 4, 5}
+    informational = [t for t in targets.targets if not t.normative]
     assert len(informational) == 1
     assert informational[0].name == "s4_lab_throughput_mbps"
     assert informational[0].note  # explains why it cannot bind
@@ -593,6 +595,30 @@ def test_cli_run_usage_errors(tmp_path):
     (5, 'policy.accepted_tags="abc"', "policy.accepted_tags"),
     (5, 'topology.per_host_access={"x":{}}', "topology.per_host_access.x"),
     (5, "monitor_interval_s=0", "monitor_interval_s"),
+    (5, "duration_s=Infinity", "duration_s"),  # JSON as Python reads it
+    # values outside a key's accepted range
+    (5, "security.profiles.qos_sdn.detection_probability=2",
+     "security.profiles.qos_sdn.detection_probability"),
+    (5, "security.profiles.netvirt.detection_delay_us=-1",
+     "security.profiles.netvirt.detection_delay_us"),
+    (5, "security.profiles.netvirt.cost_us=-1", "security.profiles.netvirt.cost_us"),
+    (5, "security.profiles.netvirt.memory_kb_per_flow=-1",
+     "security.profiles.netvirt.memory_kb_per_flow"),
+    (5, "controller.congestion_threshold=2", "controller.congestion_threshold"),
+    (5, "controller.install_delay_us=-5000", "controller.install_delay_us"),
+    (5, "controller.drop_idle_timeout_s=0", "controller.drop_idle_timeout_s"),
+    (5, "security.ids.anomaly_window_s=0", "security.ids.anomaly_window_s"),
+    (5, "security.ids.anomaly_threshold_pps=0", "security.ids.anomaly_threshold_pps"),
+    (5, "traffic.benign.0.size=10", "traffic.benign.0.size"),
+    (5, 'traffic.benign.0.size={"lo":1000,"hi":500}', "traffic.benign.0.size.hi"),
+    (5, 'traffic.ddos.0.size={"lo":1000,"hi":9001}', "traffic.ddos.0.size.hi"),
+    (5, "traffic.benign.0.rate_pps=-5", "traffic.benign.0.rate_pps"),
+    (5, "traffic.benign.0.request_fraction=2", "traffic.benign.0.request_fraction"),
+    (3, "traffic.benign.0.response_size=10", "traffic.benign.0.response_size"),
+    (5, "traffic.ddos.0.rate_multiplier=-1", "traffic.ddos.0.rate_multiplier"),
+    (5, "traffic.ddos.0.base_rate_pps=-1", "traffic.ddos.0.base_rate_pps"),
+    (5, "traffic.access.0.authorized_pps=-1", "traffic.access.0.authorized_pps"),
+    (5, "traffic.access.0.unauthorized_pps=-1", "traffic.access.0.unauthorized_pps"),
 ])
 def test_cli_run_names_the_bad_key(scenario, assignment, key, tmp_path, capsys):
     code = run_cli("run", "--scenario", str(scenario), "--out", str(tmp_path),
@@ -616,6 +642,13 @@ def test_cli_compare_exit_codes(emitted, tmp_path, capsys):
     }))
     assert run_cli("compare", "--result", str(out), "--targets", str(lenient)) == 0
     assert "[pass]" in capsys.readouterr().out
+    # a misspelled key is named, not read as its default
+    target = {"name": "s1_availability_min_no_security", "scenario": 1, "value": 1.0,
+              "tolerance": 1.0}
+    for typo, value in (("normativ", False), ("scenarioo", 3)):
+        lenient.write_text(json.dumps({"targets": [{**target, typo: value}]}))
+        assert run_cli("compare", "--result", str(out), "--targets", str(lenient)) == 2
+        assert f"targets.0.{typo}" in capsys.readouterr().err
     empty = tmp_path / "void"
     empty.mkdir()
     assert run_cli("compare", "--result", str(empty)) == 2

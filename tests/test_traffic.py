@@ -33,7 +33,7 @@ def run_profile(engine, duration_s, schedule):
 def test_benign_arrivals_replay_from_the_named_stream():
     profile = BenignProfile(
         name="web", sources=("host0",), dst="server0",
-        rate_pps=50.0, size=SizeDist.fixed(400), tag="gold",
+        rate_pps=50.0, size=SizeDist(400), tag="gold",
     )
     engine = SimEngine(99)
     packets = run_profile(
@@ -72,7 +72,7 @@ def test_poisson_volume_tracks_rate():
 def test_request_fraction_marks_probes():
     profile = BenignProfile(
         name="probe", sources=("host0",), dst="server0",
-        rate_pps=1000.0, size=SizeDist.fixed(128), tag="gold",
+        rate_pps=1000.0, size=SizeDist(128), tag="gold",
         request_fraction=0.3, response_size=900,
     )
     engine = SimEngine(21)
@@ -203,7 +203,7 @@ def test_profiles_draw_from_isolated_streams():
 
 def test_zero_rate_emits_nothing():
     profile = BenignProfile(name="mute", sources=("host0",), dst="server0",
-                            rate_pps=0.0, size=SizeDist.fixed(100), tag="gold")
+                            rate_pps=0.0, size=SizeDist(100), tag="gold")
     engine = SimEngine(1)
     packets = run_profile(
         engine, 5.0,

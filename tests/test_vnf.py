@@ -9,24 +9,34 @@ from collections import deque
 import pytest
 
 from vnfsdnsim.engine import RngStream
-from vnfsdnsim.model import Packet, PacketClass, SecurityPolicy, ThreatKind
+from vnfsdnsim.model import (
+    Packet,
+    PacketClass,
+    SecurityPolicy,
+    StarSpec,
+    ThreatKind,
+    build_topology,
+)
 from vnfsdnsim.vnf import (
     BlockReason,
     CaptureVnf,
     FilterVnf,
     FirewallRule,
     FirewallVnf,
+    IdsSettings,
     IdsVnf,
-    InactiveVnf,
     IoFailure,
     MitigationProfile,
     MonitoringStopped,
+    ProfileSettings,
     Verdict,
     VnfChain,
     block,
 )
 
 POLICY = SecurityPolicy(accepted_tags=frozenset({"gold", "guest"}))
+# host<i> has node id i
+HOSTS = build_topology(StarSpec(hosts=10))
 
 
 def make_packet(
@@ -71,30 +81,25 @@ def test_filter_verdicts():
     # unauthorized access is blocked even under an accepted tag
     sneaky = make_packet(cls=PacketClass.UNAUTHORIZED_ACCESS, tag="gold")
     assert not vnf.check(sneaky).forward
-    with pytest.raises(InactiveVnf):
-        FilterVnf(policy=POLICY, active=False).check(make_packet())
 
 
 def test_firewall_first_match_and_default():
     rules = [
         FirewallRule(action="deny", protocol="legacyudp"),
-        FirewallRule(action="allow", src=3),
-        FirewallRule(action="deny", src=3, dst=9),  # shadowed by the allow above
+        FirewallRule(action="allow", src="host3"),
+        FirewallRule(action="deny", src="host3", dst="host9"),  # shadowed by the allow above
+        FirewallRule(action="deny", src="host5", dst="host9"),
     ]
-    fw = FirewallVnf(rules=rules)
+    fw = FirewallVnf(rules, HOSTS)
     assert not fw.check(make_packet(protocol="legacyudp")).forward
     assert fw.check(make_packet(src=3, dst=9)).forward
-    assert fw.check(make_packet(src=4)).forward  # default allow
-    deny_all = FirewallVnf(rules=[], default_allow=False)
-    assert not deny_all.check(make_packet()).forward
-    with pytest.raises(ValueError):
-        FirewallRule(action="drop")
-    with pytest.raises(InactiveVnf):
-        FirewallVnf(active=False).check(make_packet())
+    assert not fw.check(make_packet(src=5, dst=9)).forward
+    assert fw.check(make_packet(src=5, dst=8)).forward  # default allow
+    assert fw.check(make_packet(src=4)).forward
 
 
 def test_ids_signature_match_blocks_immediately():
-    ids = IdsVnf(signatures=frozenset({ThreatKind.SYN_FLOOD}))
+    ids = IdsVnf(IdsSettings(signatures=frozenset({ThreatKind.SYN_FLOOD})))
     attack = make_packet(cls=PacketClass.THREAT, threat_kind=ThreatKind.SYN_FLOOD)
     verdict = ids.check(attack, now_us=0)
     assert verdict.reason is BlockReason.IDS_SIGNATURE
@@ -104,8 +109,7 @@ def test_ids_signature_match_blocks_immediately():
 
 def test_ids_anomaly_matches_sliding_window_oracle():
     window_s, threshold = 1.0, 50.0
-    ids = IdsVnf(signatures=frozenset(), anomaly_window_s=window_s,
-                 anomaly_threshold_pps=threshold)
+    ids = IdsVnf(IdsSettings(anomaly_window_s=window_s, anomaly_threshold_pps=threshold))
     # replay a bursty arrival pattern and recompute the rate independently
     rng = RngStream(77, "ids-oracle")
     now = 0
@@ -125,7 +129,7 @@ def test_ids_anomaly_matches_sliding_window_oracle():
 
 
 def test_ids_window_prunes_per_source():
-    ids = IdsVnf(anomaly_window_s=1.0, anomaly_threshold_pps=2.0)
+    ids = IdsVnf(IdsSettings(anomaly_window_s=1.0, anomaly_threshold_pps=2.0))
     # three packets within a second trips the source; a different source is clean
     assert ids.check(make_packet(src=1), now_us=0).forward
     assert ids.check(make_packet(src=1), now_us=100).forward
@@ -137,7 +141,7 @@ def test_ids_window_prunes_per_source():
 
 def test_profile_detection_fraction_and_rng_requirement():
     rng = RngStream(404, "profile")
-    profile = MitigationProfile(name="x", detection_probability=0.8, rng=rng)
+    profile = MitigationProfile("x", ProfileSettings(detection_probability=0.8), rng)
     n = 10_000
     blocked = 0
     for i in range(n):
@@ -148,20 +152,18 @@ def test_profile_detection_fraction_and_rng_requirement():
         )
         blocked += 0 if verdict.forward else 1
     assert abs(blocked / n - 0.8) < 0.02
-    # benign packets are never probability-blocked and do not consume draws
+    # one draw per threat packet; benign packets are never probability-blocked
+    # and do not consume draws
+    assert rng.counter == n
     assert profile.check(make_packet(), now_us=0).forward
-    naked = MitigationProfile(name="y", detection_probability=0.5)
-    with pytest.raises(ValueError):
-        naked.check(make_packet(cls=PacketClass.THREAT), now_us=0)
-    with pytest.raises(ValueError):
-        MitigationProfile(name="z", detection_probability=1.5)
+    assert rng.counter == n
     assert profile.tracked_flows == 2
 
 
 def test_chain_short_circuits_at_first_block():
-    forwarding = FilterVnf(policy=POLICY, cost_us=2)
-    firewall = FirewallVnf(rules=[FirewallRule(action="deny", protocol="bad")], cost_us=1)
-    ids = IdsVnf(cost_us=5)
+    forwarding = FilterVnf(policy=POLICY)
+    firewall = FirewallVnf([FirewallRule(action="deny", protocol="bad")], HOSTS)
+    ids = IdsVnf(IdsSettings())
     chain = VnfChain([forwarding, firewall, ids])
     verdict, cost = chain.process(make_packet(), now_us=0)
     assert verdict.forward and cost == 8  # all three consulted
@@ -174,7 +176,7 @@ def test_chain_short_circuits_at_first_block():
 
 
 def test_capture_round_trip_preserves_every_field(tmp_path):
-    cap = CaptureVnf(tmp_path, run_seed=7, started_at_us=1000)
+    cap = CaptureVnf(tmp_path, run_seed=7)
     records = []
     for i in range(100):
         pkt = make_packet(pid=i, src=i % 5, size=100 + i,
@@ -183,9 +185,9 @@ def test_capture_round_trip_preserves_every_field(tmp_path):
                           tag=f"t{i % 4}")
         verdict = block(BlockReason.POLICY_MISMATCH) if i % 2 else Verdict(True)
         records.append(cap.capture(pkt, verdict, now_us=10 * i))
-    assert cap.capture_count == 100
+    assert len(cap.buffer) == 100
     path = cap.stop_and_save()
-    assert path.name == "capture_7_1000.ndrec"
+    assert path.name == "capture_7_0.ndrec"
     lines = path.read_text().splitlines()
     assert len(lines) == 101  # header + one per packet
     header = json.loads(lines[0])
