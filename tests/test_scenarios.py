@@ -373,7 +373,7 @@ def test_results_round_trip_through_disk(emitted):
     assert got == want
 
 
-# Shrunk runs of scenarios 1-5, each attack moved to 0.5 s so that blocks,
+# Shrunk runs of scenarios 1-6, each attack moved to 0.5 s so that blocks,
 # drop rules, detections and captures occur; together they write all seven
 # plot-data figures.  golden_emission.json holds the result digest and the
 # sha256 of every emitted file, wall-clock header field masked: the emitted
@@ -384,6 +384,7 @@ GOLDEN_RUNS = {
     3: ["traffic.ddos.0.window.start_s=0.5"],
     4: [],
     5: ["traffic.ddos.0.window.start_s=0.5"],
+    6: ["traffic.ddos.0.window.start_s=0.5", "traffic.ddos.1.window.start_s=0.5"],
 }
 
 
