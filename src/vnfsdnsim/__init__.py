@@ -18,15 +18,10 @@ from .config import (
 from .engine import SimEngine, SimTime, TimeTravel, seconds
 from .metrics import (
     AnalyticParams,
-    EmptyTraffic,
     KpiCounters,
     KpiReport,
-    NoAttempts,
-    NoDevices,
-    NoThreats,
     WindowAggregator,
     WindowRow,
-    ZeroWindow,
     access_outcome_rate,
     check_hypothesis1,
     exposure_ratio,

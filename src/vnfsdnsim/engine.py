@@ -87,7 +87,7 @@ class RngStream:
 class SimEngine:
     """Single-threaded event loop over an integer-microsecond clock."""
 
-    def __init__(self, seed: int, hash_events: bool = False):
+    def __init__(self, seed: int):
         self.seed = seed
         self._now: SimTime = 0
         # (time, seq, kind, fn, payload); ``seq`` breaks ties between equal times.
@@ -95,8 +95,8 @@ class SimEngine:
         self._seq = 0
         self._streams: dict[str, RngStream] = {}
         self._processed = 0
-        self._hasher = hashlib.sha256() if hash_events else None
-        self._hash_buf: list[bytes] | None = [] if hash_events else None
+        self._hasher = hashlib.sha256()
+        self._hash_buf: list[bytes] = []
 
     # ------------------------------------------------------------------
     # clock and queue
@@ -142,10 +142,9 @@ class SimEngine:
         while heap and heap[0][0] <= t:
             time_us, seq, kind, fn, payload = pop(heap)
             self._now = time_us
-            if buf is not None:
-                buf.append(b"%d,%d,%s;" % (time_us, seq, _KIND_NAMES[id(kind)]))
-                if len(buf) >= HASH_BATCH:
-                    self._flush_hash()
+            buf.append(b"%d,%d,%s;" % (time_us, seq, _KIND_NAMES[id(kind)]))
+            if len(buf) >= HASH_BATCH:
+                self._flush_hash()
             fn(time_us, payload)
             n += 1
         self._now = t
@@ -171,9 +170,7 @@ class SimEngine:
         self._hasher.update(b"".join(self._hash_buf))
         self._hash_buf.clear()
 
-    def event_hash(self) -> str | None:
-        """Hex digest over the dispatched (time, seq, kind) sequence, if enabled."""
-        if self._hasher is None:
-            return None
+    def event_hash(self) -> str:
+        """Hex digest over the dispatched (time, seq, kind) sequence."""
         self._flush_hash()
         return self._hasher.hexdigest()

@@ -3,8 +3,8 @@
 Two layers live here.  The counter formulas turn run totals into the
 headline security ratios (share of traffic that got through, threat
 detection rate, unauthorized-blocking rate, endpoint exposure, access
-outcome rate, reliability).  Zero-denominator cases raise typed errors and
-are reported as *undefined*, never coerced to 0 or 1.
+outcome rate, reliability).  A ratio whose denominator is zero is
+*undefined*: the formula returns None, never a coerced 0 or 1.
 
 The analytic layer models security strength as a function of network size
 n: s(n, t) = sqrt(n) + gamma_n * sin(m * sqrt(n) * t), whose amplitude
@@ -26,27 +26,7 @@ from dataclasses import dataclass
 from .engine import US_PER_S
 
 # ----------------------------------------------------------------------
-# typed undefined / error conditions
-
-
-class EmptyTraffic(Exception):
-    """No packets were observed, so traffic ratios are undefined."""
-
-
-class NoThreats(Exception):
-    """No threat packets were observed, so detection ratios are undefined."""
-
-
-class NoAttempts(Exception):
-    """No access attempts were observed, so access ratios are undefined."""
-
-
-class NoDevices(Exception):
-    """An empty network has no exposure ratio."""
-
-
-class ZeroWindow(Exception):
-    """A rate over a zero-length observation window is undefined."""
+# error conditions
 
 
 class NonPositiveIntegrand(Exception):
@@ -107,53 +87,53 @@ class KpiCounters:
             raise ValueError("dispositions exceed emitted packets")
 
 
-def secure_traffic_pct(c: KpiCounters) -> float:
+def secure_traffic_pct(c: KpiCounters) -> float | None:
     """Percentage of observed packets that were not blocked.
 
     Note the asymmetry this inherits from its definition: blocking *more*
     bad traffic lowers the value.  It measures traffic admitted, not safety.
     """
     if c.total_packets == 0:
-        raise EmptyTraffic("no packets observed")
+        return None
     return (c.total_packets - c.blocked_packets) / c.total_packets * 100.0
 
 
-def threat_detection_rate(c: KpiCounters) -> float:
+def threat_detection_rate(c: KpiCounters) -> float | None:
     """Fraction of threat packets that were blocked, in [0, 1]."""
     if c.threat_packets == 0:
-        raise NoThreats("no threat packets observed")
+        return None
     return c.blocked_threat_packets / c.threat_packets
 
 
-def unauthorized_block_rate(c: KpiCounters) -> float:
+def unauthorized_block_rate(c: KpiCounters) -> float | None:
     """Fraction of unauthorized access attempts that were blocked."""
     if c.unauthorized_attempts == 0:
-        raise NoAttempts("no unauthorized attempts observed")
+        return None
     return c.blocked_unauthorized / c.unauthorized_attempts
 
 
-def exposure_ratio(c: KpiCounters) -> float:
+def exposure_ratio(c: KpiCounters) -> float | None:
     """Share of devices that threat traffic never reached."""
     if c.devices_total == 0:
-        raise NoDevices("no devices in the network")
+        return None
     return (c.devices_total - c.devices_affected) / c.devices_total
 
 
-def access_outcome_rate(c: KpiCounters) -> float:
+def access_outcome_rate(c: KpiCounters) -> float | None:
     """Share of access attempts that were not refused.
 
     Like the secure-traffic percentage, this counts *admissions*: refusing
     every unauthorized attempt lowers it.  Reported as defined.
     """
     if c.access_attempts == 0:
-        raise NoAttempts("no access attempts observed")
+        return None
     return (c.access_attempts - c.failed_access) / c.access_attempts
 
 
-def reliability_ratio(c: KpiCounters) -> float:
+def reliability_ratio(c: KpiCounters) -> float | None:
     """Uptime share of the observation window, in [0, 1]."""
     if c.uptime_us <= 0:
-        raise ZeroWindow("no observation time accumulated")
+        return None
     if c.downtime_us > c.uptime_us:
         raise ValueError("downtime exceeds the observation window")
     return (c.uptime_us - c.downtime_us) / c.uptime_us
@@ -333,7 +313,6 @@ class KpiReport:
     benign_sent: int
     benign_delivered: int
     benign_loss_total: int
-    detection_samples: int
 
 
 class WindowAggregator:
@@ -346,7 +325,7 @@ class WindowAggregator:
 
     def __init__(self, window_s: float = 1.0, *, memory_base_mb: float = 64.0):
         if window_s <= 0:
-            raise ZeroWindow(f"window length must be positive, got {window_s}")
+            raise ValueError(f"window length must be positive, got {window_s}")
         self.window_s = window_s
         self.window_us = int(window_s * US_PER_S)
         self.memory_base_mb = memory_base_mb
@@ -494,12 +473,6 @@ class WindowAggregator:
         c.downtime_us = min(downtime_us, c.uptime_us)
         c.check()
 
-        def _maybe(fn):
-            try:
-                return fn(c)
-            except (EmptyTraffic, NoThreats, NoAttempts, NoDevices, ZeroWindow):
-                return None
-
         all_latency = [v for vals in self._latency.values() for v in vals]
         all_rtt = [v for vals in self._rtt.values() for v in vals]
         jitters = [r.jitter_ms for r in rows if r.jitter_ms is not None]
@@ -527,12 +500,12 @@ class WindowAggregator:
             duration_s=duration_s,
             counters=c,
             windows=rows,
-            secure_traffic_pct=_maybe(secure_traffic_pct),
-            tdr=_maybe(threat_detection_rate),
-            ubr=_maybe(unauthorized_block_rate),
-            exposure=_maybe(exposure_ratio),
-            access_outcome=_maybe(access_outcome_rate),
-            reliability=_maybe(reliability_ratio),
+            secure_traffic_pct=secure_traffic_pct(c),
+            tdr=threat_detection_rate(c),
+            ubr=unauthorized_block_rate(c),
+            exposure=exposure_ratio(c),
+            access_outcome=access_outcome_rate(c),
+            reliability=reliability_ratio(c),
             mean_latency_ms=mean_latency_ms,
             jitter_ms=sum(jitters) / len(jitters) if jitters else None,
             mean_rtt_ms=mean_rtt_ms,
@@ -548,7 +521,6 @@ class WindowAggregator:
             benign_sent=benign_sent,
             benign_delivered=benign_delivered,
             benign_loss_total=cumulative_loss,
-            detection_samples=len(self._detections),
         )
 
 

@@ -31,14 +31,7 @@ from .model import (
     Topology,
 )
 from .sdn import Controller, FlowRule
-from .traffic import (
-    AccessProfile,
-    BenignProfile,
-    DdosProfile,
-    emit_access_attempts,
-    emit_benign,
-    emit_ddos,
-)
+from .traffic import AccessProfile, BenignProfile, DdosProfile, emit_stream
 from .vnf import CaptureVnf, MitigationProfile, VnfChain
 
 #: Estimated state per tracked intrusion-detection source, for the memory gauge.
@@ -79,10 +72,9 @@ class RunResult:
     duration_s: float
     report: KpiReport
     events_processed: int
-    event_hash: str | None
+    event_hash: str
     rules_installed: int
     reroutes: int
-    capture_path: str | None = None
     trace: list[tuple] | None = None
 
 
@@ -156,11 +148,6 @@ class NetworkSim:
     # ------------------------------------------------------------------
     # traffic attachment
 
-    def _resolve_sources(self, sources) -> list[tuple[str, NodeId]]:
-        if sources == "all_hosts":
-            return [(self.topology.node(i).name, i) for i in self.topology.host_ids()]
-        return [(name, self.topology.by_name(name).id) for name in sources]
-
     def attach_traffic(
         self,
         duration_s: float,
@@ -168,43 +155,31 @@ class NetworkSim:
         ddos: list[DdosProfile] = (),
         access: list[AccessProfile] = (),
     ) -> None:
-        """Schedule every profile's emissions for a run of ``duration_s``."""
+        """Schedule every profile's emissions for a run of ``duration_s``.
+
+        A DDoS profile's attack-phase markers follow its attacker streams.
+        """
         duration_us = seconds(duration_s)
         self._duration_us = duration_us
-        for profile in benign:
-            dst = self.topology.by_name(profile.dst).id
-            for name, src in self._resolve_sources(profile.sources):
-                emit_benign(
-                    self.engine, profile, src, name, dst, duration_us,
-                    self._alloc_id, self.inject,
-                )
-        for profile in ddos:
-            target = self.topology.by_name(profile.target).id
-            if profile.attackers == "all_but_target":
-                attackers = {
-                    self.topology.node(i).name: i
-                    for i in self.topology.host_ids()
-                    if i != target
-                }
-            else:
-                attackers = {
-                    name: self.topology.by_name(name).id for name in profile.attackers
-                }
-            emit_ddos(
-                self.engine, profile, attackers, target, duration_us,
-                self._alloc_id, self.inject, on_phase=self._on_attack_phase,
-            )
-        for profile in access:
-            dst = self.topology.by_name(profile.dst).id
-            for name, src in self._resolve_sources(profile.sources):
-                emit_access_attempts(
-                    self.engine, profile, src, name, dst, duration_us,
-                    self._alloc_id, self.inject,
-                )
+        for profile in (*benign, *ddos, *access):
+            for stream in profile.streams(self.topology):
+                emit_stream(self.engine, stream, duration_us, self._alloc_id, self.inject)
+            if isinstance(profile, DdosProfile):
+                window = profile.window
+                start = seconds(window.start_s)
+                stop = duration_us if window.stop_s is None else seconds(window.stop_s)
+                if start < duration_us:
+                    self.engine.schedule(
+                        start, EventKind.ATTACK_START, self._on_attack_phase, (profile.name, True)
+                    )
+                if stop <= duration_us:
+                    self.engine.schedule(
+                        stop, EventKind.ATTACK_STOP, self._on_attack_phase, (profile.name, False)
+                    )
         self._profiles_attached = True
 
-    def _on_attack_phase(self, t: SimTime, name: str, active: bool) -> None:
-        self._record(("attack", t, name, active))
+    def _on_attack_phase(self, t: SimTime, phase: tuple[str, bool]) -> None:
+        self._record(("attack", t, *phase))
 
     # ------------------------------------------------------------------
     # packet lifecycle
@@ -458,9 +433,8 @@ class NetworkSim:
             )
         self.engine.run_until(duration_us)
         report = self.aggregator.finalize(duration_us, len(self._device_ids))
-        capture_path = None
         if self.capture is not None and self.capture.monitoring:
-            capture_path = str(self.capture.stop_and_save())
+            self.capture.stop_and_save()
         return RunResult(
             label=self.label,
             seed=self.engine.seed,
@@ -470,6 +444,5 @@ class NetworkSim:
             event_hash=self.engine.event_hash(),
             rules_installed=self.controller.rules_installed,
             reroutes=self.controller.reroutes,
-            capture_path=capture_path,
             trace=self.trace,
         )

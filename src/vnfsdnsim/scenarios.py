@@ -50,6 +50,8 @@ from .runtime import NetworkSim, RunResult
 from .sdn import Controller
 from .vnf import (
     CAPTURE_FORMAT_VERSION,
+    NDREC_JSON,
+    CaptureRecord,
     CaptureVnf,
     FilterVnf,
     FirewallVnf,
@@ -124,7 +126,7 @@ def run_one(
     """Execute one (security config, topology size) cell of a scenario."""
     star = cfg.topology if hosts is None else replace(cfg.topology, hosts=hosts)
     topology = build_topology(star)
-    engine = SimEngine(cfg.seed, hash_events=True)
+    engine = SimEngine(cfg.seed)
     capture_folder = None
     if out_dir is not None:
         capture_folder = Path(out_dir) / "captures" / f"s{cfg.scenario}_{label}"
@@ -528,9 +530,6 @@ def _write_csv(path: Path, header, rows) -> Path:
     return path
 
 
-_NDREC_JSON = {"sort_keys": True, "separators": (",", ":")}
-
-
 def emit_results(
     result: ScenarioResult,
     out_dir: str | Path,
@@ -569,11 +568,11 @@ def emit_results(
                 "seed": result.seed,
             }
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(json.dumps(header, **_NDREC_JSON) + "\n")
+                fh.write(json.dumps(header, **NDREC_JSON) + "\n")
                 for w in row.result.report.windows:
-                    fh.write(json.dumps(_window_object(w), **_NDREC_JSON) + "\n")
+                    fh.write(json.dumps(_window_object(w), **NDREC_JSON) + "\n")
                 fh.write(
-                    json.dumps(_summary_object(result.scenario, row), **_NDREC_JSON) + "\n"
+                    json.dumps(_summary_object(result.scenario, row), **NDREC_JSON) + "\n"
                 )
             paths.append(path)
 
@@ -699,7 +698,6 @@ def load_results(out_dir: str | Path) -> list[ScenarioResult]:
                     duration_s=run["duration_s"],
                     counters=KpiCounters(**values[KpiCounters]),
                     windows=_read_windows(window_path) if window_path.exists() else [],
-                    detection_samples=0,
                     **values[KpiReport],
                 )
                 rows.append(
@@ -728,18 +726,9 @@ def load_results(out_dir: str | Path) -> list[ScenarioResult]:
 # ----------------------------------------------------------------------
 # capture dump
 
-_CAPTURE_HEADER_KEYS = ("ap_mac", "channel", "format_version", "iface", "run_seed")
-_CAPTURE_RECORD_KEYS = (
-    "class",
-    "dst",
-    "id",
-    "protocol",
-    "sim_time_us",
-    "size",
-    "src",
-    "tag",
-    "verdict",
-)
+# The writer's keys, in the sorted order NDREC_JSON writes them.
+_CAPTURE_HEADER_KEYS = tuple(sorted(CaptureVnf(".", 0).header_object()))
+_CAPTURE_RECORD_KEYS = tuple(sorted(CaptureRecord(0, 0, 0, 0, "", "", "", 0, "").as_object()))
 
 
 def _parse_capture_line(line: str, number: int, keys: tuple[str, ...]) -> dict:

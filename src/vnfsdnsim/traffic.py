@@ -1,15 +1,19 @@
 """Traffic generation: benign workloads, volumetric attacks, access attempts.
 
-Every (profile, source) pair draws from its own named random stream, so a
-profile's packet sequence is a pure function of the run seed and its own
-parameters.  Emission is a Poisson process on the profile's *active* time
-axis; an activity window maps that axis onto wall-clock time, which is how
-phased and pulsed attacks are described without extra randomness.
+Each profile describes its traffic as a list of packet streams, one per
+source (two per source for access attempts: authorised and unauthorised).
+A stream holds everything its packets share, and ``emit_stream`` is the one
+emitter that turns any stream into packets.  Every stream draws from its own
+named random stream, so its packet sequence is a pure function of the run
+seed and its own parameters.  Emission is a Poisson process on the stream's
+*active* time axis; an activity window maps that axis onto wall-clock time,
+which is how phased and pulsed attacks are described without extra
+randomness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Literal
 
 from .engine import EventKind, SimEngine, SimTime, seconds
@@ -22,6 +26,7 @@ from .model import (
     Packet,
     PacketClass,
     ThreatKind,
+    Topology,
     require,
 )
 
@@ -83,6 +88,39 @@ class SizeDist:
 
 
 @dataclass(frozen=True)
+class PacketStream:
+    """One Poisson stream of packets and the fields all of them share.
+
+    ``name`` keys the stream's random draws.  ``origin`` names the profile
+    the packets came from.  A ``request_fraction`` of the packets are
+    round-trip probes that the destination answers with a
+    ``response_size``-byte reply.
+    """
+
+    name: str
+    rate_pps: float
+    window: ActivityWindow
+    src: NodeId
+    dst: NodeId
+    size: SizeDist
+    protocol: str
+    cls: PacketClass
+    tag: str
+    origin: str
+    measured: bool = False
+    threat_kind: ThreatKind | None = None
+    request_fraction: float = 0.0
+    response_size: int = 0
+
+
+def _endpoints(topology: Topology, names: tuple[str, ...] | str) -> list[tuple[str, NodeId]]:
+    """(name, id) of every host for ``"all_hosts"``, else of each named node."""
+    if names == "all_hosts":
+        return [(topology.node(i).name, i) for i in topology.host_ids()]
+    return [(name, topology.by_name(name).id) for name in names]
+
+
+@dataclass(frozen=True)
 class BenignProfile:
     """Legitimate-looking traffic from a set of sources to one destination.
 
@@ -112,6 +150,19 @@ class BenignProfile:
         text, legal = PACKET_SIZE
         require(self, (f"0 or {text}", lambda n: n == 0 or legal(n)), "response_size")
 
+    def streams(self, topology: Topology) -> list[PacketStream]:
+        """One stream per source."""
+        dst = topology.by_name(self.dst).id
+        return [
+            PacketStream(
+                f"benign/{self.name}/{name}", self.rate_pps, self.window, src, dst,
+                self.size, self.protocol, PacketClass.BENIGN, self.tag,
+                f"benign/{self.name}", measured=self.measured,
+                request_fraction=self.request_fraction, response_size=self.response_size,
+            )
+            for name, src in _endpoints(topology, self.sources)
+        ]
+
 
 @dataclass(frozen=True)
 class DdosProfile:
@@ -140,6 +191,21 @@ class DdosProfile:
     def rate_pps_per_attacker(self) -> float:
         return self.rate_multiplier * self.base_rate_pps
 
+    def streams(self, topology: Topology) -> list[PacketStream]:
+        """One stream per attacker; a name listed twice attacks once."""
+        target = topology.by_name(self.target).id
+        named = self.attackers != "all_but_target"
+        attackers = dict(_endpoints(topology, self.attackers if named else "all_hosts"))
+        return [
+            PacketStream(
+                f"ddos/{self.name}/{name}", self.rate_pps_per_attacker, self.window, src,
+                target, self.size, self.protocol, PacketClass.THREAT, self.tag,
+                f"ddos/{self.name}", threat_kind=self.threat_kind,
+            )
+            for name, src in attackers.items()
+            if named or src != target
+        ]
+
 
 @dataclass(frozen=True)
 class AccessProfile:
@@ -159,175 +225,68 @@ class AccessProfile:
     def __post_init__(self) -> None:
         require(self, NON_NEGATIVE, "authorized_pps", "unauthorized_pps")
 
+    def streams(self, topology: Topology) -> list[PacketStream]:
+        """An authorised and an unauthorised stream per source."""
+        dst = topology.by_name(self.dst).id
+        kinds = (
+            ("authorized", self.authorized_pps, PacketClass.BENIGN, self.authorized_tag),
+            ("unauthorized", self.unauthorized_pps, PacketClass.UNAUTHORIZED_ACCESS,
+             self.unauthorized_tag),
+        )
+        return [
+            PacketStream(
+                f"access/{self.name}/{name}/{kind}", rate, self.window, src, dst,
+                self.size, self.protocol, cls, tag, f"access/{self.name}",
+            )
+            for name, src in _endpoints(topology, self.sources)
+            for kind, rate, cls, tag in kinds
+        ]
 
-def _poisson_chain(
+
+def emit_stream(
     engine: SimEngine,
-    stream_name: str,
-    rate_pps: float,
-    window: ActivityWindow,
+    stream: PacketStream,
     duration_us: SimTime,
-    make_packet: Callable[[SimTime, object], Packet],
+    next_id: IdAllocator,
     sink: PacketSink,
 ) -> None:
-    """Drive ``make_packet``/``sink`` with Poisson arrivals on the active axis."""
-    if rate_pps <= 0:
+    """Schedule the stream's Poisson arrivals on its active axis into ``sink``.
+
+    A zero-rate stream schedules nothing and registers no random stream.
+    """
+    if stream.rate_pps <= 0:
         return
-    stream = engine.register_stream(stream_name)
-    cursor = 0.0  # seconds on the profile's active axis
+    rng = engine.register_stream(stream.name)
+    window = stream.window
+    cursor = 0.0  # seconds on the stream's active axis
 
     def emit(now: SimTime, _payload) -> None:
-        sink(make_packet(now, stream))
+        # The request draw, when there is one, comes before the size draw.
+        is_request = stream.request_fraction > 0.0 and rng.uniform() < stream.request_fraction
+        sink(
+            Packet(
+                id=next_id(),
+                src=stream.src,
+                dst=stream.dst,
+                size=stream.size.draw(rng),
+                protocol=stream.protocol,
+                cls=stream.cls,
+                tag=stream.tag,
+                created_at=now,
+                threat_kind=stream.threat_kind,
+                origin=stream.origin,
+                measured=stream.measured,
+                is_request=is_request,
+                response_size=stream.response_size if is_request else 0,
+            )
+        )
         push_next()
 
     def push_next() -> None:
         nonlocal cursor
-        cursor += stream.exponential(rate_pps)
+        cursor += rng.exponential(stream.rate_pps)
         wall = window.wall_us(cursor)
         if not window.expired(wall, duration_us):
             engine.schedule(wall, EventKind.TRAFFIC_EMIT, emit)
 
     push_next()
-
-
-def emit_benign(
-    engine: SimEngine,
-    profile: BenignProfile,
-    source_id: NodeId,
-    source_name: str,
-    dst_id: NodeId,
-    duration_us: SimTime,
-    next_id: IdAllocator,
-    sink: PacketSink,
-) -> None:
-    """Schedule one source's worth of a benign profile onto the engine."""
-
-    def make_packet(now: SimTime, stream) -> Packet:
-        is_request = (
-            profile.request_fraction > 0.0 and stream.uniform() < profile.request_fraction
-        )
-        return Packet(
-            id=next_id(),
-            src=source_id,
-            dst=dst_id,
-            size=profile.size.draw(stream),
-            protocol=profile.protocol,
-            cls=PacketClass.BENIGN,
-            tag=profile.tag,
-            created_at=now,
-            origin=f"benign/{profile.name}",
-            measured=profile.measured,
-            is_request=is_request,
-            response_size=profile.response_size if is_request else 0,
-        )
-
-    _poisson_chain(
-        engine,
-        f"benign/{profile.name}/{source_name}",
-        profile.rate_pps,
-        profile.window,
-        duration_us,
-        make_packet,
-        sink,
-    )
-
-
-def emit_ddos(
-    engine: SimEngine,
-    profile: DdosProfile,
-    attacker_ids: dict[str, NodeId],
-    target_id: NodeId,
-    duration_us: SimTime,
-    next_id: IdAllocator,
-    sink: PacketSink,
-    on_phase: Callable[[SimTime, str, bool], None] | None = None,
-) -> None:
-    """Schedule the flood: one Poisson stream per attacker, plus phase markers."""
-    for name, attacker_id in attacker_ids.items():
-
-        def make_packet(now: SimTime, stream, _src=attacker_id) -> Packet:
-            return Packet(
-                id=next_id(),
-                src=_src,
-                dst=target_id,
-                size=profile.size.draw(stream),
-                protocol=profile.protocol,
-                cls=PacketClass.THREAT,
-                tag=profile.tag,
-                created_at=now,
-                threat_kind=profile.threat_kind,
-                origin=f"ddos/{profile.name}",
-            )
-
-        _poisson_chain(
-            engine,
-            f"ddos/{profile.name}/{name}",
-            profile.rate_pps_per_attacker,
-            profile.window,
-            duration_us,
-            make_packet,
-            sink,
-        )
-
-    if on_phase is not None:
-        start = seconds(profile.window.start_s)
-        stop = duration_us if profile.window.stop_s is None else seconds(profile.window.stop_s)
-        if start < duration_us:
-            engine.schedule(
-                start,
-                EventKind.ATTACK_START,
-                lambda t, _p: on_phase(t, profile.name, True),
-            )
-        if stop <= duration_us:
-            engine.schedule(
-                stop,
-                EventKind.ATTACK_STOP,
-                lambda t, _p: on_phase(t, profile.name, False),
-            )
-
-
-def emit_access_attempts(
-    engine: SimEngine,
-    profile: AccessProfile,
-    source_id: NodeId,
-    source_name: str,
-    dst_id: NodeId,
-    duration_us: SimTime,
-    next_id: IdAllocator,
-    sink: PacketSink,
-) -> None:
-    """Schedule authorised and unauthorised attempt streams for one source."""
-
-    def maker(authorized: bool) -> Callable:
-        def make_packet(now: SimTime, stream) -> Packet:
-            return Packet(
-                id=next_id(),
-                src=source_id,
-                dst=dst_id,
-                size=profile.size.draw(stream),
-                protocol=profile.protocol,
-                cls=PacketClass.BENIGN if authorized else PacketClass.UNAUTHORIZED_ACCESS,
-                tag=profile.authorized_tag if authorized else profile.unauthorized_tag,
-                created_at=now,
-                origin=f"access/{profile.name}",
-            )
-
-        return make_packet
-
-    _poisson_chain(
-        engine,
-        f"access/{profile.name}/{source_name}/authorized",
-        profile.authorized_pps,
-        profile.window,
-        duration_us,
-        maker(True),
-        sink,
-    )
-    _poisson_chain(
-        engine,
-        f"access/{profile.name}/{source_name}/unauthorized",
-        profile.unauthorized_pps,
-        profile.window,
-        duration_us,
-        maker(False),
-        sink,
-    )

@@ -249,9 +249,10 @@ class MitigationProfile:
 CAPTURE_FORMAT_VERSION = 1
 CAPTURE_SUFFIX = ".ndrec"
 
-# json.dumps with these settings is the byte-level file contract: keys in
-# lexicographic order, no whitespace.
-_JSON_KW = {"sort_keys": True, "separators": (",", ":")}
+#: json.dumps settings of every line-delimited record file (captures and
+#: results): keys in lexicographic order, no whitespace.  They are the
+#: byte-level file contract.
+NDREC_JSON = {"sort_keys": True, "separators": (",", ":")}
 
 
 @dataclass
@@ -336,9 +337,9 @@ class CaptureVnf:
         try:
             self.folder.mkdir(parents=True, exist_ok=True)
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(json.dumps(self.header_object(), **_JSON_KW) + "\n")
+                fh.write(json.dumps(self.header_object(), **NDREC_JSON) + "\n")
                 for record in self.buffer:
-                    fh.write(json.dumps(record.as_object(), **_JSON_KW) + "\n")
+                    fh.write(json.dumps(record.as_object(), **NDREC_JSON) + "\n")
         except OSError as exc:
             raise IoFailure(f"cannot write capture file {path}: {exc}") from exc
         self.buffer.clear()

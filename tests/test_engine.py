@@ -60,7 +60,7 @@ def test_scheduling_in_the_past_is_rejected():
 
 def test_event_hash_is_reproducible_and_seed_free():
     def run(seed):
-        engine = SimEngine(seed, hash_events=True)
+        engine = SimEngine(seed)
         for i in range(20):
             engine.schedule(i * 7, EventKind.PACKET_ARRIVAL, lambda t, p: None)
         engine.run_until(500)
@@ -69,12 +69,11 @@ def test_event_hash_is_reproducible_and_seed_free():
     assert run(42) == run(42)
     # the hash covers (time, seq, kind); identical schedules hash identically
     assert run(42) == run(43)
-    assert SimEngine(42).event_hash() is None  # hashing off by default
 
 
 def test_event_hash_distinguishes_orderings():
     def run(times):
-        engine = SimEngine(1, hash_events=True)
+        engine = SimEngine(1)
         for t in times:
             engine.schedule(t, EventKind.PACKET_ARRIVAL, lambda t, p: None)
         engine.run_until(1000)
@@ -86,8 +85,8 @@ def test_event_hash_distinguishes_orderings():
 def test_event_hash_golden_value_across_flush_batches():
     # The digest is over b"%d,%d,%s;" % (time, seq, kind name) per event;
     # batching the hasher's input must not change it.
-    def run(hash_events):
-        engine = SimEngine(7, hash_events=hash_events)
+    def run():
+        engine = SimEngine(7)
         kinds = list(EventKind)
         for i in range(12_000):
             engine.schedule((i * 7919) % 5_000, kinds[i % len(kinds)], lambda t, p: None)
@@ -97,8 +96,7 @@ def test_event_hash_golden_value_across_flush_batches():
         return engine.event_hash()
 
     assert 12_000 > 2 * HASH_BATCH
-    assert run(True) == "951af0eae4939a656261b60d72971c06dd35e56505b4aae6822454a25d04701d"
-    assert run(False) is None
+    assert run() == "951af0eae4939a656261b60d72971c06dd35e56505b4aae6822454a25d04701d"
 
 
 def test_streams_must_be_registered_before_use():

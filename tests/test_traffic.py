@@ -1,6 +1,9 @@
 """Traffic generation: arrival times replayed against the raw random
 streams, burst-window arithmetic, class/tag assignment, and the stream
 isolation that keeps workloads identical across security configurations.
+
+The profiles run over a two-host star: host0/host1 at ids 0/1, the switch
+at 2 and server0 at 3.
 """
 
 import math
@@ -8,24 +11,29 @@ import math
 import pytest
 
 from vnfsdnsim.engine import RngStream, SimEngine, seconds
-from vnfsdnsim.model import PacketClass, ThreatKind
+from vnfsdnsim.model import PacketClass, StarSpec, ThreatKind, build_topology
+from vnfsdnsim.runtime import NetworkSim
+from vnfsdnsim.sdn import Controller
 from vnfsdnsim.traffic import (
     AccessProfile,
     ActivityWindow,
     BenignProfile,
     DdosProfile,
     SizeDist,
-    emit_access_attempts,
-    emit_benign,
-    emit_ddos,
+    emit_stream,
 )
+from vnfsdnsim.vnf import VnfChain
+
+STAR = build_topology(StarSpec(hosts=2))
 
 
-def run_profile(engine, duration_s, schedule):
-    """Wire a sink, let ``schedule(sink)`` install emitters, run to the end."""
+def run_profile(engine, duration_s, *profiles):
+    """Emit every stream of ``profiles`` into a list and run to the end."""
     out = []
     counter = iter(range(1, 10_000_000))
-    schedule(out.append, lambda: next(counter))
+    for profile in profiles:
+        for stream in profile.streams(STAR):
+            emit_stream(engine, stream, seconds(duration_s), lambda: next(counter), out.append)
     engine.run_until(seconds(duration_s))
     return out
 
@@ -36,10 +44,7 @@ def test_benign_arrivals_replay_from_the_named_stream():
         rate_pps=50.0, size=SizeDist(400), tag="gold",
     )
     engine = SimEngine(99)
-    packets = run_profile(
-        engine, 2.0,
-        lambda sink, ids: emit_benign(engine, profile, 0, "host0", 3, seconds(2.0), ids, sink),
-    )
+    packets = run_profile(engine, 2.0, profile)
     # rebuild the exact arrival sequence from the same seed and stream name
     stream = RngStream(99, "benign/web/host0")
     expected, cursor = [], 0.0
@@ -60,10 +65,7 @@ def test_poisson_volume_tracks_rate():
         rate_pps=500.0, size=SizeDist(200, 1200), tag="gold",
     )
     engine = SimEngine(7)
-    packets = run_profile(
-        engine, 20.0,
-        lambda sink, ids: emit_benign(engine, profile, 0, "host0", 3, seconds(20.0), ids, sink),
-    )
+    packets = run_profile(engine, 20.0, profile)
     mean = 500.0 * 20.0
     assert abs(len(packets) - mean) < 4 * math.sqrt(mean)
     assert all(200 <= p.size <= 1200 for p in packets)
@@ -76,10 +78,7 @@ def test_request_fraction_marks_probes():
         request_fraction=0.3, response_size=900,
     )
     engine = SimEngine(21)
-    packets = run_profile(
-        engine, 5.0,
-        lambda sink, ids: emit_benign(engine, profile, 0, "host0", 3, seconds(5.0), ids, sink),
-    )
+    packets = run_profile(engine, 5.0, profile)
     fraction = sum(p.is_request for p in packets) / len(packets)
     assert abs(fraction - 0.3) < 4 * math.sqrt(0.3 * 0.7 / len(packets))
     for p in packets:
@@ -107,10 +106,7 @@ def test_burst_window_confines_emission_to_on_phases():
         window=ActivityWindow(start_s=0.5, burst_period_s=1.0, burst_on_s=0.2),
     )
     engine = SimEngine(3)
-    packets = run_profile(
-        engine, 8.0,
-        lambda sink, ids: emit_ddos(engine, profile, {"host0": 0}, 1, seconds(8.0), ids, sink),
-    )
+    packets = run_profile(engine, 8.0, profile)
     assert len(packets) > 100  # ~200 pps on 20% duty over 7.5 s
     for p in packets:
         offset_us = (p.created_at - seconds(0.5)) % seconds(1.0)
@@ -126,32 +122,24 @@ def test_stop_time_and_phase_markers():
         attackers=("host0",), rate_multiplier=30.0, base_rate_pps=10.0,
         window=ActivityWindow(start_s=1.0, stop_s=3.0),
     )
-    engine = SimEngine(5)
-    phases = []
-    packets = run_profile(
-        engine, 10.0,
-        lambda sink, ids: emit_ddos(
-            engine, profile, {"host0": 0}, 1, seconds(10.0), ids, sink,
-            on_phase=lambda t, name, on: phases.append((t, name, on)),
-        ),
-    )
-    assert packets and all(seconds(1.0) <= p.created_at < seconds(3.0) for p in packets)
+    # The runtime schedules the phase markers when it attaches the profile.
+    sim = NetworkSim(STAR, SimEngine(5), Controller(STAR), VnfChain(), collect_trace=True)
+    sim.attach_traffic(10.0, ddos=[profile])
+    sim.run(10.0)
+    emitted = [rec[1] for rec in sim.trace if rec[0] == "emit"]
+    phases = [rec[1:] for rec in sim.trace if rec[0] == "attack"]
+    assert emitted and all(seconds(1.0) <= t < seconds(3.0) for t in emitted)
     assert phases == [(seconds(1.0), "wave", True), (seconds(3.0), "wave", False)]
 
 
 def test_ddos_rate_is_multiplier_times_base():
     profile = DdosProfile(
-        name="flood", target="host9", threat_kind=ThreatKind.SYN_FLOOD, tag="junk",
+        name="flood", target="server0", threat_kind=ThreatKind.SYN_FLOOD, tag="junk",
         attackers=("host0", "host1"), rate_multiplier=50.0, base_rate_pps=10.0,
     )
     assert profile.rate_pps_per_attacker == 500.0
     engine = SimEngine(11)
-    packets = run_profile(
-        engine, 4.0,
-        lambda sink, ids: emit_ddos(
-            engine, profile, {"host0": 0, "host1": 1}, 9, seconds(4.0), ids, sink
-        ),
-    )
+    packets = run_profile(engine, 4.0, profile)
     per_source = {src: sum(1 for p in packets if p.src == src) for src in (0, 1)}
     for count in per_source.values():
         assert abs(count - 2000) < 4 * math.sqrt(2000)
@@ -163,12 +151,7 @@ def test_access_attempts_split_by_authorisation():
         authorized_pps=40.0, unauthorized_pps=10.0, authorized_tag="gold",
     )
     engine = SimEngine(13)
-    packets = run_profile(
-        engine, 20.0,
-        lambda sink, ids: emit_access_attempts(
-            engine, profile, 0, "host0", 3, seconds(20.0), ids, sink
-        ),
-    )
+    packets = run_profile(engine, 20.0, profile)
     good = [p for p in packets if p.cls is PacketClass.BENIGN]
     bad = [p for p in packets if p.cls is PacketClass.UNAUTHORIZED_ACCESS]
     assert len(good) + len(bad) == len(packets)
@@ -188,14 +171,7 @@ def test_profiles_draw_from_isolated_streams():
 
     def fingerprint(with_attack):
         engine = SimEngine(2024)
-        packets = run_profile(
-            engine, 3.0,
-            lambda sink, ids: (
-                emit_benign(engine, web, 0, "host0", 3, seconds(3.0), ids, sink),
-                with_attack
-                and emit_ddos(engine, junk, {"host1": 1}, 3, seconds(3.0), ids, sink),
-            ),
-        )
+        packets = run_profile(engine, 3.0, web, *([junk] if with_attack else []))
         return [(p.created_at, p.size) for p in packets if p.origin == "benign/web"]
 
     assert fingerprint(False) == fingerprint(True)
@@ -205,8 +181,28 @@ def test_zero_rate_emits_nothing():
     profile = BenignProfile(name="mute", sources=("host0",), dst="server0",
                             rate_pps=0.0, size=SizeDist(100), tag="gold")
     engine = SimEngine(1)
-    packets = run_profile(
-        engine, 5.0,
-        lambda sink, ids: emit_benign(engine, profile, 0, "host0", 3, seconds(5.0), ids, sink),
-    )
+    packets = run_profile(engine, 5.0, profile)
     assert packets == []
+    assert engine._streams == {}  # no random stream registered either
+
+
+def test_streams_name_and_resolve_their_endpoints():
+    web = BenignProfile(name="web", sources="all_hosts", dst="server0",
+                        rate_pps=1.0, size=SizeDist(100), tag="gold")
+    flood = DdosProfile(name="f", target="host1", threat_kind=ThreatKind.UDP_FLOOD,
+                        tag="junk")
+    listed = DdosProfile(name="g", target="server0", threat_kind=ThreatKind.UDP_FLOOD,
+                         tag="junk", attackers=("host1", "host0", "host1"))
+    door = AccessProfile(name="door", sources=("host1",), dst="server0",
+                         authorized_pps=1.0, unauthorized_pps=1.0, authorized_tag="gold")
+
+    def names(profile):
+        return [(s.name, s.src, s.dst) for s in profile.streams(STAR)]
+
+    assert names(web) == [("benign/web/host0", 0, 3), ("benign/web/host1", 1, 3)]
+    assert names(flood) == [("ddos/f/host0", 0, 1)]  # every host but the target
+    assert names(listed) == [("ddos/g/host1", 1, 3), ("ddos/g/host0", 0, 3)]
+    assert names(door) == [
+        ("access/door/host1/authorized", 1, 3),
+        ("access/door/host1/unauthorized", 1, 3),
+    ]
