@@ -20,6 +20,7 @@ from .scenarios import (
     MissingMetric,
     UnsupportedVersion,
     capture_dump,
+    check_formats,
     compare_to_targets,
     emit_results,
     load_results,
@@ -27,8 +28,6 @@ from .scenarios import (
     verify_hypothesis1,
 )
 from .vnf import IoFailure
-
-_FORMATS = ("csv", "records")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -114,11 +113,7 @@ def _fmt(value, spec: str = ".3f") -> str:
 
 def _cmd_run(args) -> int:
     formats = tuple(part.strip() for part in args.format.split(",") if part.strip())
-    for fmt in formats:
-        if fmt not in _FORMATS:
-            raise config.ConfigError(f"unknown output format {fmt!r} (choose from {_FORMATS})")
-    if not formats:
-        raise config.ConfigError("at least one output format is required")
+    check_formats(formats)  # before the run, not after it
     tree = config.load_tree(args.config) if args.config else config.default_config(args.scenario)
     overrides = list(args.overrides)
     if args.seed is not None:

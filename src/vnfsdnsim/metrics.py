@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .engine import US_PER_S
+from .model import PacketClass
 
 # ----------------------------------------------------------------------
 # error conditions
@@ -252,9 +253,9 @@ def check_hypothesis1(
 
 #: Class weighting applied to monitored bytes; hostile classes count double.
 CLASS_WEIGHTS = {
-    "benign": 1.0,
-    "threat": 2.0,
-    "unauthorized_access": 2.0,
+    PacketClass.BENIGN: 1.0,
+    PacketClass.THREAT: 2.0,
+    PacketClass.UNAUTHORIZED_ACCESS: 2.0,
 }
 
 #: A window whose availability falls below this counts as downtime.
@@ -351,71 +352,68 @@ class WindowAggregator:
         return row
 
     def feed(self, rec: tuple) -> None:
-        """Consume one trace record (see the runtime for the record shapes)."""
+        """Consume one trace record (the shapes are listed in ``vnfsdnsim.runtime``)."""
         kind = rec[0]
         self._records += 1
         c = self.counters
         if kind == "emit":
-            _, t, _pkt, cls, measured, size, origin = rec[:7]
+            _, t, pkt = rec
             row = self._row(t)
             c.total_packets += 1
-            weight = CLASS_WEIGHTS.get(cls, 1.0)
-            row.monitored_weighted_bytes += weight * size
-            if cls == "threat":
+            row.monitored_weighted_bytes += CLASS_WEIGHTS[pkt.cls] * pkt.size
+            if pkt.cls is PacketClass.THREAT:
                 c.threat_packets += 1
                 row.threat_sent += 1
-            elif cls == "unauthorized_access":
+            elif pkt.cls is PacketClass.UNAUTHORIZED_ACCESS:
                 c.unauthorized_attempts += 1
                 row.unauthorized_sent += 1
-            if origin.startswith("access/"):
+            if pkt.origin.startswith("access/"):
                 c.access_attempts += 1
-            if measured:
+            if pkt.measured:
                 row.sent_benign += 1
         elif kind == "deliver":
-            _, t, _pkt, cls, measured, size, latency_us, dst = rec[:8]
+            _, t, pkt = rec
             row = self._row(t)
             c.delivered_packets += 1
-            if cls == "threat":
-                self._affected.add(dst)
-            if measured:
+            if pkt.cls is PacketClass.THREAT:
+                self._affected.add(pkt.dst)
+            if pkt.measured:
                 row.delivered_benign += 1
                 self._delivered_bits[row.index] = (
-                    self._delivered_bits.get(row.index, 0) + size * 8
+                    self._delivered_bits.get(row.index, 0) + pkt.size * 8
                 )
-                self._latency.setdefault(row.index, []).append(latency_us)
+                self._latency.setdefault(row.index, []).append(t - pkt.created_at)
+            if pkt.rtt_anchor is not None:
+                self._rtt.setdefault(row.index, []).append(t - pkt.rtt_anchor)
         elif kind == "qdrop":
-            _, t, _pkt, cls, measured = rec[:5]
+            _, t, pkt = rec
             row = self._row(t)
             c.queue_dropped += 1
-            if measured:
+            if pkt.measured:
                 row.benign_queue_drops += 1
         elif kind == "block":
-            _, t, _pkt, cls, measured, origin = rec[:6]
+            _, t, pkt, _reason = rec
             row = self._row(t)
             c.blocked_packets += 1
-            if cls == "threat":
+            if pkt.cls is PacketClass.THREAT:
                 c.blocked_threat_packets += 1
                 row.threat_blocked += 1
-            elif cls == "unauthorized_access":
+            elif pkt.cls is PacketClass.UNAUTHORIZED_ACCESS:
                 c.blocked_unauthorized += 1
                 row.unauthorized_blocked += 1
-                if origin.startswith("access/"):
+                if pkt.origin.startswith("access/"):
                     c.failed_access += 1
-            if measured:
+            if pkt.measured:
                 row.benign_blocked += 1
-        elif kind == "rtt":
-            _, t, _pkt, rtt_us = rec[:4]
-            row = self._row(t)
-            self._rtt.setdefault(row.index, []).append(rtt_us)
         elif kind == "cost":
-            _, t, cost_us = rec[:3]
+            _, t, cost_us = rec
             idx = t // self.window_us
             self._cost_us[idx] = self._cost_us.get(idx, 0) + cost_us
         elif kind == "mem":
-            _, t, mb = rec[:3]
+            _, t, mb = rec
             self._mem[t // self.window_us] = mb
         elif kind == "detect":
-            _, _t, _flow, latency_us = rec[:4]
+            _, _t, _flow, latency_us = rec
             self._detections.append(latency_us)
         # rule_install / rule_expire / attack / reroute records carry no KPIs.
 

@@ -120,26 +120,16 @@ class ThreatKind(Enum):
     ZERO_DAY = "zero_day"
 
 
-# Packet fields that must never change once the packet exists.
-_PACKET_FROZEN = frozenset(
-    {"id", "src", "dst", "size", "protocol", "cls", "tag", "created_at", "threat_kind"}
-)
-
-
-@dataclass(init=False)
+@dataclass(frozen=True, slots=True)
 class Packet:
-    """A unit of traffic.
+    """A unit of traffic, immutable once created.
 
-    Identity fields (id, endpoints, size, protocol, class, tag) are fixed at
-    creation; only delivery bookkeeping mutates afterwards.  The trailing
-    fields are simulator plumbing: ``origin`` names the traffic profile that
-    emitted the packet, ``measured`` marks it as part of the user-facing
-    benign workload that KPIs are computed over, and ``route``/``hop`` carry
-    the forwarding state.
-
-    ``__init__`` validates the arguments and fills the instance dict in one
-    step; the immutability guard in ``__setattr__`` covers every write after
-    construction.
+    The trailing fields are simulator plumbing: ``origin`` names the traffic
+    profile that emitted the packet, ``measured`` marks it as part of the
+    user-facing benign workload that KPIs are computed over, and a request
+    asks its destination for a ``response_size``-byte reply whose
+    ``rtt_anchor`` is the request's creation time.  Forwarding state (route
+    and hop) travels with the packet in the runtime's events, not on it.
     """
 
     id: int
@@ -151,76 +141,20 @@ class Packet:
     tag: str
     created_at: int
     threat_kind: ThreatKind | None = None
-    delivered_at: int | None = None
     origin: str = ""
     measured: bool = False
     is_request: bool = False
     response_size: int = 0
     rtt_anchor: int | None = None
-    route: tuple[NodeId, ...] | None = None
-    hop: int = 0
 
-    def __init__(
-        self,
-        id: int,
-        src: NodeId,
-        dst: NodeId,
-        size: int,
-        protocol: str,
-        cls: PacketClass,
-        tag: str,
-        created_at: int,
-        threat_kind: ThreatKind | None = None,
-        delivered_at: int | None = None,
-        origin: str = "",
-        measured: bool = False,
-        is_request: bool = False,
-        response_size: int = 0,
-        rtt_anchor: int | None = None,
-        route: tuple[NodeId, ...] | None = None,
-        hop: int = 0,
-    ) -> None:
-        if not MIN_PACKET_BYTES <= size <= MAX_PACKET_BYTES:
+    def __post_init__(self) -> None:
+        if not MIN_PACKET_BYTES <= self.size <= MAX_PACKET_BYTES:
             raise ValueError(
-                f"packet size {size} outside "
+                f"packet size {self.size} outside "
                 f"[{MIN_PACKET_BYTES}, {MAX_PACKET_BYTES}] bytes"
             )
-        if cls is PacketClass.THREAT and threat_kind is None:
+        if self.cls is PacketClass.THREAT and self.threat_kind is None:
             raise ValueError("threat packets must carry a threat kind")
-        if delivered_at is not None and delivered_at < created_at:
-            raise ValueError(
-                f"delivery at {delivered_at}us precedes creation at {created_at}us"
-            )
-        self.__dict__.update(
-            {
-                "id": id,
-                "src": src,
-                "dst": dst,
-                "size": size,
-                "protocol": protocol,
-                "cls": cls,
-                "tag": tag,
-                "created_at": created_at,
-                "threat_kind": threat_kind,
-                "delivered_at": delivered_at,
-                "origin": origin,
-                "measured": measured,
-                "is_request": is_request,
-                "response_size": response_size,
-                "rtt_anchor": rtt_anchor,
-                "route": route,
-                "hop": hop,
-            }
-        )
-
-    def __setattr__(self, name: str, value) -> None:
-        if name in _PACKET_FROZEN:
-            raise AttributeError(f"packet field {name!r} is immutable")
-        if name == "delivered_at" and value is not None and value < self.created_at:
-            raise ValueError(
-                f"delivery at {value}us precedes creation at {self.created_at}us"
-            )
-        object.__setattr__(self, name, value)
 
     @property
     def class_label(self) -> str:
@@ -228,12 +162,6 @@ class Packet:
         if self.cls is PacketClass.THREAT:
             return f"threat:{self.threat_kind.value}"
         return self.cls.value
-
-    @property
-    def latency_us(self) -> int | None:
-        if self.delivered_at is None:
-            return None
-        return self.delivered_at - self.created_at
 
 
 @dataclass(frozen=True)

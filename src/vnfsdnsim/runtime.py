@@ -11,7 +11,21 @@ reported back to the controller.
 
 The runtime emits a flat stream of trace records that the window
 aggregator folds into KPIs; the same records can optionally be collected
-for offline rollups and assertions.
+for offline rollups and assertions.  Packets are immutable, so a packet
+record holds the packet itself.  The record shapes, ``t`` in microseconds:
+
+- ``("emit", t, packet)``: the packet entered the network at its source;
+- ``("deliver", t, packet)``: it reached its destination;
+- ``("qdrop", t, packet)``: a full link queue dropped it;
+- ``("block", t, packet, reason)``: a drop rule or the chain consumed it;
+- ``("cost", t, cost_us)``: processing time the chain (and capture) spent;
+- ``("mem", t, mb)``: the memory gauge at a monitor tick;
+- ``("detect", t, flow, latency_us)``: a hostile flow's first drop rule,
+  ``latency_us`` after the flow's first packet;
+- ``("rule_install", t, src, dst, discriminator, reason)`` and
+  ``("rule_expire", t, src, dst, discriminator)``;
+- ``("attack", t, name, started)``: a DDoS phase began or ended;
+- ``("reroute", t, src, dst, path)``: congestion moved a flow.
 """
 
 from __future__ import annotations
@@ -40,6 +54,10 @@ IDS_KB_PER_SOURCE = 4.0
 RULE_KB = 0.5
 
 
+#: A packet in transit: the packet, its route and the index of its current node.
+Transit = tuple[Packet, tuple[NodeId, ...], int]
+
+
 class DirectionalQueue:
     """One transmission direction of a link: two priority bands, one server."""
 
@@ -47,8 +65,8 @@ class DirectionalQueue:
 
     def __init__(self, link: Link):
         self.link = link
-        self.hi: deque[Packet] = deque()
-        self.lo: deque[Packet] = deque()
+        self.hi: deque[Transit] = deque()
+        self.lo: deque[Transit] = deque()
         self.busy = False
 
     def __len__(self) -> int:
@@ -186,87 +204,59 @@ class NetworkSim:
 
     def inject(self, packet: Packet) -> None:
         """Entry point for freshly emitted packets."""
-        packet.route = self.controller.route(packet.src, packet.dst)
-        packet.hop = 0
-        self._record(
-            (
-                "emit",
-                self.engine.now(),
-                packet.id,
-                packet.cls.value,
-                packet.measured,
-                packet.size,
-                packet.origin,
-                packet.src,
-                packet.dst,
-                packet.tag,
-            )
-        )
+        now = self.engine.now()
+        self._record(("emit", now, packet))
         if packet.cls is PacketClass.THREAT:
             flow = (packet.src, packet.dst, packet.tag)
             self._first_threat_emit.setdefault(flow, packet.created_at)
-        self._transmit(packet, self.engine.now())
+        self._transmit((packet, self.controller.route(packet.src, packet.dst), 0), now)
 
     def _priority_hi(self, packet: Packet) -> bool:
         return self.qos_priority and packet.cls is PacketClass.BENIGN
 
-    def _transmit(self, packet: Packet, t: SimTime) -> None:
-        src = packet.route[packet.hop]
-        dst = packet.route[packet.hop + 1]
-        dq = self._queues[(src, dst)]
+    def _transmit(self, transit: Transit, t: SimTime) -> None:
+        packet, route, hop = transit
+        dq = self._queues[(route[hop], route[hop + 1])]
         if len(dq) >= dq.link.queue_capacity:
             # Benign-first scheduling may push out a queued low-band packet
             # instead of tail-dropping the arrival.
             if self._priority_hi(packet) and dq.lo:
-                evicted = dq.lo.pop()
-                self._drop(evicted, t)
+                self._record(("qdrop", t, dq.lo.pop()[0]))
             else:
-                self._drop(packet, t)
+                self._record(("qdrop", t, packet))
                 return
-        (dq.hi if self._priority_hi(packet) else dq.lo).append(packet)
+        (dq.hi if self._priority_hi(packet) else dq.lo).append(transit)
         if not dq.busy:
             self._start_service(dq, t)
 
-    def _drop(self, packet: Packet, t: SimTime) -> None:
-        self._record(
-            (
-                "qdrop",
-                t,
-                packet.id,
-                packet.cls.value,
-                packet.measured,
-                packet.size,
-                packet.origin,
-            )
-        )
-
     def _start_service(self, dq: DirectionalQueue, t: SimTime) -> None:
-        packet = (dq.hi or dq.lo).popleft()
+        transit = (dq.hi or dq.lo).popleft()
         dq.busy = True
-        tx = service_time_us(packet.size, dq.link.bandwidth_bps)
+        tx = service_time_us(transit[0].size, dq.link.bandwidth_bps)
         self.engine.schedule(
-            t + tx, EventKind.PACKET_DEPARTURE, self._on_departure, (dq, packet)
+            t + tx, EventKind.PACKET_DEPARTURE, self._on_departure, (dq, transit)
         )
 
     def _on_departure(self, t: SimTime, payload) -> None:
-        dq, packet = payload
+        dq, transit = payload
         self.engine.schedule(
-            t + dq.link.latency_us, EventKind.PACKET_ARRIVAL, self._on_arrival, packet
+            t + dq.link.latency_us, EventKind.PACKET_ARRIVAL, self._on_arrival, transit
         )
         if len(dq):
             self._start_service(dq, t)
         else:
             dq.busy = False
 
-    def _on_arrival(self, t: SimTime, packet: Packet) -> None:
-        packet.hop += 1
-        node = self.topology.node(packet.route[packet.hop])
+    def _on_arrival(self, t: SimTime, transit: Transit) -> None:
+        packet, route, hop = transit
+        hop += 1
+        node = self.topology.node(route[hop])
         if node.kind is NodeKind.SWITCH and not self._admit(packet, t):
             return
         if node.id == packet.dst:
             self._deliver(packet, t)
             return
-        self._transmit(packet, t)
+        self._transmit((packet, route, hop), t)
 
     # ------------------------------------------------------------------
     # security enforcement
@@ -275,7 +265,7 @@ class NetworkSim:
         """Resolve a packet at a switch; False when it was consumed."""
         decision, rule = self.controller.lookup(packet, t)
         if decision == "drop":
-            self._block(packet, t, rule.reason or "flow_rule")
+            self._record(("block", t, packet, rule.reason or "flow_rule"))
             return False
         verdict, cost = self.chain.process(packet, t)
         if self.capture is not None and self.capture.monitoring and not verdict.forward:
@@ -289,25 +279,9 @@ class NetworkSim:
         if installed is not None:
             self._on_rule_installed(installed, packet, t)
         if not verdict.forward:
-            self._block(packet, t, verdict.label)
+            self._record(("block", t, packet, verdict.label))
             return False
         return True
-
-    def _block(self, packet: Packet, t: SimTime, reason: str) -> None:
-        self._record(
-            (
-                "block",
-                t,
-                packet.id,
-                packet.cls.value,
-                packet.measured,
-                packet.origin,
-                reason,
-                packet.src,
-                packet.dst,
-                packet.tag,
-            )
-        )
 
     def _on_rule_installed(self, rule: FlowRule, packet: Packet, t: SimTime) -> None:
         self._record(
@@ -356,21 +330,7 @@ class NetworkSim:
     # delivery and responses
 
     def _deliver(self, packet: Packet, t: SimTime) -> None:
-        packet.delivered_at = t
-        self._record(
-            (
-                "deliver",
-                t,
-                packet.id,
-                packet.cls.value,
-                packet.measured,
-                packet.size,
-                packet.latency_us,
-                packet.dst,
-            )
-        )
-        if packet.rtt_anchor is not None:
-            self._record(("rtt", t, packet.id, t - packet.rtt_anchor))
+        self._record(("deliver", t, packet))
         if packet.is_request and packet.response_size > 0:
             response = Packet(
                 id=self._alloc_id(),

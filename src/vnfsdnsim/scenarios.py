@@ -285,11 +285,10 @@ class CalibrationTargets:
         return CalibrationTargets.from_dict(json.loads(text))
 
 
-def _availability_extreme(report: KpiReport, peak: bool) -> float:
+def _availability_range(report: KpiReport) -> tuple[float | None, float | None]:
+    """(min, peak) of the per-window availability; None for both when no window has one."""
     values = [w.availability_pct for w in report.windows if w.availability_pct is not None]
-    if not values:
-        raise MissingMetric("no windows carry an availability value")
-    return max(values) if peak else min(values)
+    return (min(values), max(values)) if values else (None, None)
 
 
 def _reduction_pct(baseline: float | None, improved: float | None, what: str) -> float:
@@ -307,10 +306,10 @@ def _measure(result: ScenarioResult, name: str) -> float:
     if name.startswith("s1_benign_loss_"):
         return float(report(name.removeprefix("s1_benign_loss_")).benign_loss_total)
     if name == "s1_availability_min_no_security":
-        return _availability_extreme(report("no_security"), peak=False)
-    if name == "s1_availability_peak_vnfsdn_firewall":
-        return _availability_extreme(report("vnfsdn_firewall"), peak=True)
-    if name.startswith("s4_latency_ms_"):
+        value = _availability_range(report("no_security"))[0]
+    elif name == "s1_availability_peak_vnfsdn_firewall":
+        value = _availability_range(report("vnfsdn_firewall"))[1]
+    elif name.startswith("s4_latency_ms_"):
         value = report(name.removeprefix("s4_latency_ms_")).mean_latency_ms
     elif name.startswith("s4_jitter_ms_"):
         value = report(name.removeprefix("s4_jitter_ms_")).jitter_ms
@@ -486,13 +485,13 @@ def _window_object(w: WindowRow) -> dict:
 
 def _summary_object(scenario: int, row: RunRow) -> dict:
     rep = row.result.report
-    avail = [w.availability_pct for w in rep.windows if w.availability_pct is not None]
+    avail_min, avail_peak = _availability_range(rep)
     derived = {
         "scenario": scenario,
         "config": row.label,
         "hosts": row.hosts,
-        "availability_min_pct": min(avail) if avail else None,
-        "availability_peak_pct": max(avail) if avail else None,
+        "availability_min_pct": avail_min,
+        "availability_peak_pct": avail_peak,
     }
     owners = {RunResult: row.result, KpiReport: rep, KpiCounters: rep.counters}
     obj = {"kind": "summary"}
@@ -530,15 +529,26 @@ def _write_csv(path: Path, header, rows) -> Path:
     return path
 
 
+#: The result file formats ``emit_results`` writes.
+OUTPUT_FORMATS = ("csv", "records")
+
+
+def check_formats(formats: tuple[str, ...]) -> None:
+    """Raise a ConfigError unless ``formats`` is a non-empty choice of OUTPUT_FORMATS."""
+    if not formats:
+        raise ConfigError("at least one output format is required")
+    for fmt in formats:
+        if fmt not in OUTPUT_FORMATS:
+            raise ConfigError(f"unknown output format {fmt!r} (choose from {OUTPUT_FORMATS})")
+
+
 def emit_results(
     result: ScenarioResult,
     out_dir: str | Path,
-    formats: tuple[str, ...] = ("csv", "records"),
+    formats: tuple[str, ...] = OUTPUT_FORMATS,
 ) -> list[Path]:
     """Write result files under ``out_dir``; returns the paths written."""
-    for fmt in formats:
-        if fmt not in ("csv", "records"):
-            raise ConfigError(f"unknown output format {fmt!r}")
+    check_formats(formats)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths: list[Path] = []

@@ -167,15 +167,12 @@ class Controller:
     ) -> FlowRule | None:
         """React to a data-plane verdict.
 
-        Forward verdicts only warm the route cache.  Block verdicts install
-        an ingress drop rule for the packet's flow (no-op when flow-rule
-        generalisation is disabled), active after the install delay plus any
-        reporting delay of the detecting function.
+        A block verdict installs an ingress drop rule for the packet's flow,
+        active after the install delay plus any reporting delay of the
+        detecting function.  A forward verdict, or any verdict when flow-rule
+        generalisation is disabled, installs nothing.
         """
-        if verdict.forward:
-            self.route(packet.src, packet.dst)
-            return None
-        if not self.flow_rules:
+        if verdict.forward or not self.flow_rules:
             return None
         active_from = now_us + self.settings.install_delay_us + extra_delay_us
         rule = FlowRule(

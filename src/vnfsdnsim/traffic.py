@@ -113,6 +113,14 @@ class PacketStream:
     response_size: int = 0
 
 
+#: Accepted node lists for ``require``: a keyword such as ``"all_hosts"``, or
+#: names that each appear once, so that no two streams share a random stream.
+NAMED_ONCE = (
+    "a list naming each node once",
+    lambda v: isinstance(v, str) or len(set(v)) == len(v),
+)
+
+
 def _endpoints(topology: Topology, names: tuple[str, ...] | str) -> list[tuple[str, NodeId]]:
     """(name, id) of every host for ``"all_hosts"``, else of each named node."""
     if names == "all_hosts":
@@ -146,6 +154,7 @@ class BenignProfile:
 
     def __post_init__(self) -> None:
         require(self, NON_NEGATIVE, "rate_pps")
+        require(self, NAMED_ONCE, "sources")
         require(self, FRACTION, "request_fraction")
         text, legal = PACKET_SIZE
         require(self, (f"0 or {text}", lambda n: n == 0 or legal(n)), "response_size")
@@ -186,23 +195,24 @@ class DdosProfile:
 
     def __post_init__(self) -> None:
         require(self, NON_NEGATIVE, "rate_multiplier", "base_rate_pps")
+        require(self, NAMED_ONCE, "attackers")
 
     @property
     def rate_pps_per_attacker(self) -> float:
         return self.rate_multiplier * self.base_rate_pps
 
     def streams(self, topology: Topology) -> list[PacketStream]:
-        """One stream per attacker; a name listed twice attacks once."""
+        """One stream per attacker."""
         target = topology.by_name(self.target).id
         named = self.attackers != "all_but_target"
-        attackers = dict(_endpoints(topology, self.attackers if named else "all_hosts"))
+        attackers = _endpoints(topology, self.attackers if named else "all_hosts")
         return [
             PacketStream(
                 f"ddos/{self.name}/{name}", self.rate_pps_per_attacker, self.window, src,
                 target, self.size, self.protocol, PacketClass.THREAT, self.tag,
                 f"ddos/{self.name}", threat_kind=self.threat_kind,
             )
-            for name, src in attackers.items()
+            for name, src in attackers
             if named or src != target
         ]
 
@@ -224,6 +234,7 @@ class AccessProfile:
 
     def __post_init__(self) -> None:
         require(self, NON_NEGATIVE, "authorized_pps", "unauthorized_pps")
+        require(self, NAMED_ONCE, "sources")
 
     def streams(self, topology: Topology) -> list[PacketStream]:
         """An authorised and an unauthorised stream per source."""

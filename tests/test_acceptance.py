@@ -407,8 +407,8 @@ def test_routing_oracle_and_rule_blackholing():
     expired = [r for r in trace if r[0] == "rule_expire"]
     # burst packets 0 and 1 pass, 2 trips the rate check; 3..5 die on the
     # rule; the rule idles out; packet 6 passes the (now calm) chain
-    assert [r[2] for r in delivered] == [0, 1, 6]
-    assert [(r[2], r[6]) for r in blocked] == [
+    assert [r[2].id for r in delivered] == [0, 1, 6]
+    assert [(r[2].id, r[3]) for r in blocked] == [
         (2, "block:ids_anomaly"),
         (3, "ids_anomaly"),
         (4, "ids_anomaly"),

@@ -26,6 +26,7 @@ from vnfsdnsim.metrics import (
     threat_detection_rate,
     unauthorized_block_rate,
 )
+from vnfsdnsim.model import Packet, PacketClass, ThreatKind
 
 SECOND = 1_000_000
 
@@ -173,9 +174,10 @@ def test_counter_invariants_rejected():
 
 def test_finalize_rejects_inconsistent_counters():
     agg = WindowAggregator(window_s=1.0)
-    agg.feed(("emit", 10, 1, "benign", True, 100, "b/a", 0, 1, "t"))
-    agg.feed(("deliver", 100, 1, "benign", True, 100, 90, 1))
-    agg.feed(("deliver", 200, 2, "benign", True, 100, 90, 1))  # never emitted
+    p1 = _packet(1, 10)
+    agg.feed(("emit", 10, p1))
+    agg.feed(("deliver", 100, p1))
+    agg.feed(("deliver", 200, _packet(2, 110)))  # never emitted
     with pytest.raises(ValueError, match="dispositions exceed emitted packets"):
         agg.finalize(SECOND, devices_total=2)
 
@@ -299,27 +301,44 @@ def test_gamma_scale_sqrt_keeps_amplitude_proportional():
 # window aggregation vs a naive trace scan
 
 
+def _packet(pid, created_at, cls=PacketClass.BENIGN, size=1000, origin="bench/a",
+            src=0, rtt_anchor=None):
+    """A packet to server 9; benign ones are measured."""
+    return Packet(
+        id=pid, src=src, dst=9, size=size, protocol="tcp", cls=cls, tag="tag",
+        created_at=created_at,
+        threat_kind=ThreatKind.SYN_FLOOD if cls is PacketClass.THREAT else None,
+        origin=origin, measured=cls is PacketClass.BENIGN, rtt_anchor=rtt_anchor,
+    )
+
+
 def _trace_for_rollup():
     """Two windows of hand-checkable traffic plus degenerate third window."""
     t0 = 100_000
+    p1 = _packet(1, t0)
+    p2 = _packet(2, t0 + 10)
+    p3 = _packet(3, t0 + 20, size=500)
+    p4 = _packet(4, SECOND + t0, PacketClass.THREAT, 800, "ddos/x", src=1)
+    p5 = _packet(5, SECOND + t0 + 100, PacketClass.UNAUTHORIZED_ACCESS, 200, "access/u", src=2)
+    # packet 6 answers a request sent 10 ms before its delivery
+    p6 = _packet(6, SECOND + t0 + 200, size=1500, rtt_anchor=SECOND + t0 - 4_800)
     trace = [
         # window 0: three benign sent, two delivered (1 ms / 3 ms), one qdrop
-        ("emit", t0, 1, "benign", True, 1000, "bench/a", 0, 9, "tag"),
-        ("emit", t0 + 10, 2, "benign", True, 1000, "bench/a", 0, 9, "tag"),
-        ("emit", t0 + 20, 3, "benign", True, 500, "bench/a", 0, 9, "tag"),
-        ("deliver", t0 + 1_000, 1, "benign", True, 1000, 1_000, 9),
-        ("deliver", t0 + 3_000, 2, "benign", True, 1000, 3_000, 9),
-        ("qdrop", t0 + 500, 3, "benign", True, 500, "bench/a"),
+        ("emit", t0, p1),
+        ("emit", t0 + 10, p2),
+        ("emit", t0 + 20, p3),
+        ("deliver", t0 + 1_000, p1),
+        ("deliver", t0 + 3_010, p2),
+        ("qdrop", t0 + 500, p3),
         ("cost", t0, 4_000),
         ("mem", t0, 80.0),
         # window 1: threat blocked, unauthorized blocked, benign delivered at 5 ms
-        ("emit", SECOND + t0, 4, "threat", False, 800, "ddos/x", 1, 9, "bad"),
-        ("block", SECOND + t0 + 50, 4, "threat", False, "ddos/x", "policy", 1),
-        ("emit", SECOND + t0 + 100, 5, "unauthorized_access", False, 200, "access/u", 2, 9, "bad"),
-        ("block", SECOND + t0 + 150, 5, "unauthorized_access", False, "access/u", "policy", 2),
-        ("emit", SECOND + t0 + 200, 6, "benign", True, 1500, "bench/a", 0, 9, "tag"),
-        ("deliver", SECOND + t0 + 5_200, 6, "benign", True, 1500, 5_000, 9),
-        ("rtt", SECOND + t0 + 5_200, 6, 10_000),
+        ("emit", SECOND + t0, p4),
+        ("block", SECOND + t0 + 50, p4, "policy"),
+        ("emit", SECOND + t0 + 100, p5),
+        ("block", SECOND + t0 + 150, p5, "policy"),
+        ("emit", SECOND + t0 + 200, p6),
+        ("deliver", SECOND + t0 + 5_200, p6),
         ("detect", SECOND + t0 + 60, (1, 9, "bad"), 2_000),
         ("mem", SECOND + t0, 90.0),
     ]
@@ -331,7 +350,7 @@ def test_kpi_rollup_matches_naive_scan():
     report = kpi_rollup(trace, window_s=1.0, devices_total=12)
 
     # Naive independent scan.
-    sent0 = sum(1 for r in trace if r[0] == "emit" and r[4] and r[1] < SECOND)
+    sent0 = sum(1 for r in trace if r[0] == "emit" and r[2].measured and r[1] < SECOND)
     del0 = [r for r in trace if r[0] == "deliver" and r[1] < SECOND]
     assert report.windows[0].sent_benign == sent0 == 3
     assert report.windows[0].delivered_benign == len(del0) == 2
@@ -373,10 +392,8 @@ def test_kpi_rollup_matches_naive_scan():
 
 
 def test_rollup_degenerate_windows_are_excluded_not_zeroed():
-    trace = [
-        ("emit", 10, 1, "benign", True, 100, "b/a", 0, 1, "t"),
-        ("deliver", 1_010, 1, "benign", True, 100, 1_000, 1),
-    ]
+    pkt = _packet(1, 10, size=100)
+    trace = [("emit", 10, pkt), ("deliver", 1_010, pkt)]
     report = kpi_rollup(trace, window_s=1.0, duration_us=3 * SECOND)
     assert len(report.windows) == 3
     assert report.windows[1].availability_pct is None
@@ -391,11 +408,8 @@ def test_rollup_degenerate_windows_are_excluded_not_zeroed():
 
 def test_rollup_throughput_definitional_case():
     # 250 Mbit delivered within one 1-s window → 250 Mbps.
-    size = 31_250_000  # bytes; ·8 = 250 Mbit
-    trace = [
-        ("emit", 0, 1, "benign", True, size, "b/a", 0, 1, "t"),
-        ("deliver", 999_999, 1, "benign", True, size, 999_999, 1),
-    ]
+    packets = [_packet(i, 0, size=6_250) for i in range(5_000)]  # 5000 · 6250 B · 8 = 250 Mbit
+    trace = [("emit", 0, p) for p in packets] + [("deliver", 999_999, p) for p in packets]
     report = kpi_rollup(trace, window_s=1.0, duration_us=SECOND)
     assert report.windows[0].throughput_mbps == pytest.approx(250.0)
 
@@ -411,12 +425,13 @@ def test_aggregator_availability_capped_at_100():
     agg = WindowAggregator(window_s=1.0)
     # a packet emitted in window 0 but delivered in window 1 can push the
     # per-window delivered count above the sent count
-    agg.feed(("emit", 10, 1, "benign", True, 100, "b/a", 0, 1, "t"))
-    agg.feed(("emit", 20, 2, "benign", True, 100, "b/a", 0, 1, "t"))
-    agg.feed(("deliver", 100, 1, "benign", True, 100, 90, 1))
-    agg.feed(("emit", SECOND + 10, 3, "benign", True, 100, "b/a", 0, 1, "t"))
-    agg.feed(("deliver", SECOND + 20, 2, "benign", True, 100, 100, 1))
-    agg.feed(("deliver", SECOND + 30, 3, "benign", True, 100, 20, 1))
+    p1, p2, p3 = _packet(1, 10), _packet(2, 20), _packet(3, SECOND + 10)
+    agg.feed(("emit", 10, p1))
+    agg.feed(("emit", 20, p2))
+    agg.feed(("deliver", 100, p1))
+    agg.feed(("emit", SECOND + 10, p3))
+    agg.feed(("deliver", SECOND + 20, p2))
+    agg.feed(("deliver", SECOND + 30, p3))
     report = agg.finalize(2 * SECOND, devices_total=2)
     assert report.windows[1].availability_pct == 100.0
     assert all(

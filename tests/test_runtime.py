@@ -91,7 +91,7 @@ def test_single_packet_latency_is_the_sum_of_hops():
     result = sim.run(0.01)
     # access: 8 us serialise + 300 us propagate; trunk: 80 + 800
     (deliver,) = recs(sim, "deliver")
-    assert deliver[1] == 1188 and deliver[6] == 1188
+    assert deliver[1] == 1188 and deliver[1] - deliver[2].created_at == 1188
     assert result.report.mean_latency_ms == pytest.approx(1.188)
     assert result.report.counters.delivered_packets == 1
     assert result.report.counters.in_flight() == 0
@@ -104,7 +104,7 @@ def test_fifo_queueing_delays_the_second_packet():
     inject_at(sim, 0, pid=2)
     sim.run(0.01)
     # p2 waits 8 us behind p1 on the access link, then 72 more at the trunk
-    assert [(r[2], r[1]) for r in recs(sim, "deliver")] == [(1, 1188), (2, 1268)]
+    assert [(r[2].id, r[1]) for r in recs(sim, "deliver")] == [(1, 1188), (2, 1268)]
 
 
 def test_queue_overflow_tail_drops():
@@ -131,8 +131,8 @@ def test_benign_first_scheduling_pushes_out_queued_junk():
     inject_at(sim, 30, pid=9)
     sim.run(0.05)
     # the benign arrival evicts threat 2 (the queue tail) and jumps the band
-    assert [r[2] for r in recs(sim, "qdrop")] == [2]
-    assert [(r[2], r[1]) for r in recs(sim, "deliver")] == [
+    assert [r[2].id for r in recs(sim, "qdrop")] == [2]
+    assert [(r[2].id, r[1]) for r in recs(sim, "deliver")] == [
         (0, 9108), (9, 17108), (1, 25108)
     ]
 
@@ -145,8 +145,8 @@ def test_without_priority_the_late_benign_packet_drops():
                   threat_kind=ThreatKind.UDP_FLOOD)
     inject_at(sim, 30, pid=9)
     sim.run(0.05)
-    assert [r[2] for r in recs(sim, "qdrop")] == [9]
-    assert [r[2] for r in recs(sim, "deliver")] == [0, 1, 2]
+    assert [r[2].id for r in recs(sim, "qdrop")] == [9]
+    assert [r[2].id for r in recs(sim, "deliver")] == [0, 1, 2]
 
 
 def test_mitigation_profile_declares_benign_priority():
@@ -168,7 +168,7 @@ def test_blocked_flow_delivers_nothing_until_rule_expiry():
     # first packet is judged by the chain; the drop rule (live from 1308)
     # consumes the next four; the long gap expires it, so packet 5 is
     # judged by the chain again and installs a second rule.
-    assert [(r[1], r[6]) for r in recs(sim, "block")] == [
+    assert [(r[1], r[3]) for r in recs(sim, "block")] == [
         (308, "block:policy_mismatch"),
         (10_308, "policy_mismatch"),
         (20_308, "policy_mismatch"),
@@ -235,11 +235,11 @@ def test_request_generates_an_unmeasured_response_and_an_rtt():
     assert len(delivered) == 2
     # request lands at 1188; the 500-byte answer needs 40+800 trunk and
     # 4+300 access microseconds on the way back
-    (rtt,) = recs(sim, "rtt")
-    assert rtt[3] == 2332
+    (response,) = [r for r in delivered if r[2].rtt_anchor is not None]
+    assert response[1] - response[2].rtt_anchor == 2332
     assert result.report.mean_rtt_ms == pytest.approx(2.332)
-    response_emit = [r for r in recs(sim, "emit") if r[6].startswith("response/")]
-    assert len(response_emit) == 1 and response_emit[0][4] is False
+    response_emit = [r for r in recs(sim, "emit") if r[2].origin.startswith("response/")]
+    assert len(response_emit) == 1 and response_emit[0][2].measured is False
     assert result.report.benign_sent == 1  # the response is not a user packet
 
 
@@ -265,7 +265,8 @@ def test_live_totals_are_conserved_and_match_an_offline_rollup():
     sim.attach_traffic(
         2.0,
         benign=[BenignProfile(name="web", sources="all_hosts", dst="server0",
-                              rate_pps=100.0, size=SizeDist(200, 1200), tag="gold")],
+                              rate_pps=100.0, size=SizeDist(200, 1200), tag="gold",
+                              request_fraction=0.2, response_size=300)],
         ddos=[DdosProfile(name="syn", target="server0", threat_kind=ThreatKind.SYN_FLOOD,
                           tag="attack", attackers=("host2", "host3"),
                           rate_multiplier=30.0, base_rate_pps=10.0)],
@@ -284,10 +285,12 @@ def test_live_totals_are_conserved_and_match_an_offline_rollup():
     assert 0 <= c.in_flight() < 50
     # every threat that reached the switch was blocked; none were delivered
     assert c.threat_packets > 1000
-    assert not [r for r in recs(sim, "deliver") if r[3] == "threat"]
-    threat_qdrops = sum(1 for r in recs(sim, "qdrop") if r[3] == "threat")
+    assert not [r for r in recs(sim, "deliver") if r[2].cls is PacketClass.THREAT]
+    threat_qdrops = sum(1 for r in recs(sim, "qdrop") if r[2].cls is PacketClass.THREAT)
     threats_in_flight = c.threat_packets - c.blocked_threat_packets - threat_qdrops
     assert 0 <= threats_in_flight <= c.in_flight()
+    # round trips are folded from the deliver records of the responses
+    assert result.report.mean_rtt_ms is not None
     # an offline rollup of the captured trace reproduces the streaming report
     offline = kpi_rollup(result.trace, 1.0, duration_us=seconds(2.0),
                          devices_total=5)

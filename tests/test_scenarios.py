@@ -620,6 +620,9 @@ def test_cli_run_usage_errors(tmp_path):
     (5, "traffic.ddos.0.base_rate_pps=-1", "traffic.ddos.0.base_rate_pps"),
     (5, "traffic.access.0.authorized_pps=-1", "traffic.access.0.authorized_pps"),
     (5, "traffic.access.0.unauthorized_pps=-1", "traffic.access.0.unauthorized_pps"),
+    # a repeated node name would run two streams off one random stream
+    (5, 'traffic.benign.1.sources=["host0","host0"]', "traffic.benign.1.sources"),
+    (5, 'traffic.ddos.0.attackers=["host1","host1"]', "traffic.ddos.0.attackers"),
 ])
 def test_cli_run_names_the_bad_key(scenario, assignment, key, tmp_path, capsys):
     code = run_cli("run", "--scenario", str(scenario), "--out", str(tmp_path),

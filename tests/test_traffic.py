@@ -7,6 +7,7 @@ at 2 and server0 at 3.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -192,7 +193,12 @@ def test_streams_name_and_resolve_their_endpoints():
     flood = DdosProfile(name="f", target="host1", threat_kind=ThreatKind.UDP_FLOOD,
                         tag="junk")
     listed = DdosProfile(name="g", target="server0", threat_kind=ThreatKind.UDP_FLOOD,
-                         tag="junk", attackers=("host1", "host0", "host1"))
+                         tag="junk", attackers=("host1", "host0"))
+    # a repeated name would run two streams off one random stream
+    with pytest.raises(ValueError, match="attackers"):
+        replace(listed, attackers=("host1", "host0", "host1"))
+    with pytest.raises(ValueError, match="sources"):
+        replace(web, sources=("host0", "host0"))
     door = AccessProfile(name="door", sources=("host1",), dst="server0",
                          authorized_pps=1.0, unauthorized_pps=1.0, authorized_tag="gold")
 
