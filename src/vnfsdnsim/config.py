@@ -26,10 +26,10 @@ from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 from .model import (
     POSITIVE,
+    NodeKind,
     RangeError,
     SecurityPolicy,
     StarSpec,
-    TopologyError,
     build_topology,
     require,
 )
@@ -84,6 +84,7 @@ class SweepSettings:
     hosts: tuple[int, ...] = ()  # each config runs at every count, not at topology.hosts
 
     def __post_init__(self) -> None:
+        require(self, ("counts of at least 1", lambda v: all(n >= 1 for n in v)), "hosts")
         if list(self.hosts) != sorted(self.hosts):
             raise ValueError("hosts must be ascending")
 
@@ -215,29 +216,29 @@ def _describe(tp) -> str:
 def from_dict(tree: dict) -> ScenarioConfig:
     """Validate a configuration tree and build the typed view of it.
 
-    The star is built once, at the smallest sweep point, to check the
-    topology and to resolve every node name the tree uses.
+    The star is built once, at the smallest sweep point, to resolve every
+    node name the tree uses.
     """
     cfg = _build(ScenarioConfig, tree, "")
     object.__setattr__(cfg, "raw", tree)
     hosts = cfg.sweep.hosts[0] if cfg.sweep.hosts else cfg.topology.hosts
-    try:
-        topology = build_topology(replace(cfg.topology, hosts=hosts))
-    except TopologyError as exc:
-        raise ConfigError(f"topology: {exc}") from exc
+    topology = build_topology(replace(cfg.topology, hosts=hosts))
     for idx in cfg.topology.per_host_access:
         if not 0 <= idx < hosts:
             raise ConfigError(f"topology.per_host_access.{idx}: host index not in 0..{hosts - 1}")
     refs = [(f"security.firewall_rules.{i}.{key}", getattr(rule, key))
             for i, rule in enumerate(cfg.security.firewall_rules) for key in ("src", "dst")]
+    every_host = tuple(node.name for node in topology.by_kind(NodeKind.UE_HOST))
     for kind in ("benign", "ddos", "access"):
+        src_key, dst_key = ("attackers", "target") if kind == "ddos" else ("sources", "dst")
         for i, profile in enumerate(getattr(cfg.traffic, kind)):
-            for key in ("sources", "attackers", "dst", "target"):
-                value = getattr(profile, key, None)
-                if type(value) is tuple:  # a name list, not "all_hosts"/"all_but_target"
-                    refs += [(f"traffic.{kind}.{i}.{key}.{j}", n) for j, n in enumerate(value)]
-                elif key in ("dst", "target"):
-                    refs.append((f"traffic.{kind}.{i}.{key}", value))
+            path = f"traffic.{kind}.{i}"
+            senders, dst = getattr(profile, src_key), getattr(profile, dst_key)
+            senders = {"all_hosts": every_host, "all_but_target": ()}.get(senders, senders)
+            if dst in senders:  # its packets would have no route
+                raise ConfigError(f"{path}.{src_key}: includes the {dst_key} {dst!r}")
+            refs.append((f"{path}.{dst_key}", dst))
+            refs += [(f"{path}.{src_key}.{j}", n) for j, n in enumerate(senders)]
     known = {node.name for node in topology.nodes}
     for path, name in refs:
         if name is not None and name not in known:

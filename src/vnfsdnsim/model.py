@@ -11,6 +11,8 @@ from enum import Enum
 from typing import Callable, Literal
 
 NodeId = int
+#: A flow's identity: source, destination and traffic tag.
+Flow = tuple[NodeId, NodeId, str]
 
 MIN_PACKET_BYTES = 64
 MAX_PACKET_BYTES = 9000  # jumbo frames; 1500 is the usual ethernet ceiling
@@ -54,28 +56,6 @@ class Node:
     name: str
 
 
-class ViolationKind(Enum):
-    DISCONNECTED_GRAPH = "disconnected_graph"
-    DUPLICATE_CONTROLLER = "duplicate_controller"
-    MISSING_CONTROLLER = "missing_controller"
-    INVALID_LINK = "invalid_link"
-    INVALID_NODE = "invalid_node"
-
-
-@dataclass(frozen=True)
-class Violation:
-    kind: ViolationKind
-    detail: str
-
-
-class TopologyError(Exception):
-    """Raised when a topology cannot be built; carries the violation list."""
-
-    def __init__(self, violations: list[Violation]):
-        self.violations = violations
-        super().__init__("; ".join(f"{v.kind.value}: {v.detail}" for v in violations))
-
-
 @dataclass(frozen=True)
 class Link:
     """Undirected cable between two nodes.
@@ -89,21 +69,6 @@ class Link:
     latency_us: int
     bandwidth_bps: int
     queue_capacity: int
-
-    def __post_init__(self) -> None:
-        problems = []
-        if self.a == self.b:
-            problems.append(f"self-loop on node {self.a}")
-        if self.latency_us < 0:
-            problems.append(f"negative latency {self.latency_us}")
-        if self.bandwidth_bps <= 0:
-            problems.append(f"non-positive bandwidth {self.bandwidth_bps}")
-        if self.queue_capacity <= 0:
-            problems.append(f"non-positive queue capacity {self.queue_capacity}")
-        if problems:
-            raise TopologyError(
-                [Violation(ViolationKind.INVALID_LINK, p) for p in problems]
-            )
 
 
 class PacketClass(Enum):
@@ -157,6 +122,11 @@ class Packet:
             raise ValueError("threat packets must carry a threat kind")
 
     @property
+    def flow(self) -> Flow:
+        """The flow the packet belongs to; drop rules and per-flow state key on it."""
+        return (self.src, self.dst, self.tag)
+
+    @property
     def class_label(self) -> str:
         """Stable serialisation label, e.g. ``threat:syn_flood``."""
         if self.cls is PacketClass.THREAT:
@@ -193,9 +163,8 @@ class Topology:
         self._by_name = {n.name: n for n in self.nodes}
         self._adjacency = {n.id: [] for n in self.nodes}
         for link in self.links:
-            if link.a in self._adjacency and link.b in self._adjacency:
-                self._adjacency[link.a].append((link.b, link))
-                self._adjacency[link.b].append((link.a, link))
+            self._adjacency[link.a].append((link.b, link))
+            self._adjacency[link.b].append((link.a, link))
         for nbrs in self._adjacency.values():
             nbrs.sort(key=lambda pair: pair[0])
 
@@ -216,57 +185,6 @@ class Topology:
         return [n.id for n in self.by_kind(NodeKind.UE_HOST)]
 
 
-def validate(topology: Topology) -> list[Violation]:
-    """Check structural invariants; an empty list means the topology is sound."""
-    violations: list[Violation] = []
-    ids = [n.id for n in topology.nodes]
-    if ids != list(range(len(ids))):
-        violations.append(
-            Violation(
-                ViolationKind.INVALID_NODE,
-                "node ids must be dense and in declaration order",
-            )
-        )
-    controllers = topology.by_kind(NodeKind.CONTROLLER)
-    if not controllers:
-        violations.append(
-            Violation(ViolationKind.MISSING_CONTROLLER, "no controller node")
-        )
-    elif len(controllers) > 1:
-        names = ", ".join(n.name for n in controllers)
-        violations.append(
-            Violation(ViolationKind.DUPLICATE_CONTROLLER, f"controllers: {names}")
-        )
-    id_set = set(ids)
-    for link in topology.links:
-        if link.a not in id_set or link.b not in id_set:
-            violations.append(
-                Violation(
-                    ViolationKind.INVALID_LINK,
-                    f"link ({link.a}, {link.b}) references unknown node",
-                )
-            )
-    # Reachability over valid links only.
-    if topology.nodes:
-        seen = {topology.nodes[0].id}
-        frontier = [topology.nodes[0].id]
-        while frontier:
-            current = frontier.pop()
-            for nbr, _ in topology.neighbors(current):
-                if nbr in id_set and nbr not in seen:
-                    seen.add(nbr)
-                    frontier.append(nbr)
-        unreachable = sorted(id_set - seen)
-        if unreachable:
-            violations.append(
-                Violation(
-                    ViolationKind.DISCONNECTED_GRAPH,
-                    f"nodes unreachable from {topology.nodes[0].name}: {unreachable}",
-                )
-            )
-    return violations
-
-
 # ----------------------------------------------------------------------
 # topology specs
 
@@ -276,6 +194,10 @@ class LinkParams:
     latency_us: int
     bandwidth_bps: int
     queue_capacity: int
+
+    def __post_init__(self) -> None:
+        require(self, NON_NEGATIVE, "latency_us")
+        require(self, POSITIVE, "bandwidth_bps", "queue_capacity")
 
 
 DEFAULT_ACCESS = LinkParams(latency_us=300, bandwidth_bps=1_000_000_000, queue_capacity=2048)
@@ -300,61 +222,24 @@ class StarSpec:
     per_host_access: dict[int, LinkParams] = field(default_factory=dict)
     kind: Literal["star"] = "star"
 
+    def __post_init__(self) -> None:
+        require(self, POSITIVE, "hosts", "servers")
+
 
 def build_topology(spec: StarSpec) -> Topology:
-    """Materialise a spec into a validated topology, or raise TopologyError."""
-    topology = _build_star(spec)
-    violations = validate(topology)
-    if violations:
-        raise TopologyError(violations)
-    return topology
+    """Materialise a star; its spec's range checks make it valid by construction."""
+
+    def link(a: NodeId, b: NodeId, params: LinkParams) -> Link:
+        return Link(a, b, params.latency_us, params.bandwidth_bps, params.queue_capacity)
+
+    hosts = [Node(i, NodeKind.UE_HOST, f"host{i}") for i in range(spec.hosts)]
+    switch = Node(spec.hosts, NodeKind.SWITCH, "switch0")
+    first = spec.hosts + 1
+    servers = [Node(first + j, NodeKind.SERVER, f"server{j}") for j in range(spec.servers)]
+    controller = Node(first + spec.servers, NodeKind.CONTROLLER, "controller")
+    links = [link(h.id, switch.id, spec.per_host_access.get(h.id, spec.access)) for h in hosts]
+    links += [link(switch.id, server.id, spec.trunk) for server in servers]
+    links.append(link(switch.id, controller.id, spec.control))
+    return Topology([*hosts, switch, *servers, controller], links)
 
 
-def _build_star(spec: StarSpec) -> Topology:
-    if spec.hosts < 1:
-        raise TopologyError(
-            [Violation(ViolationKind.INVALID_LINK, "a star needs at least one host")]
-        )
-    if spec.servers < 1:
-        raise TopologyError(
-            [Violation(ViolationKind.INVALID_LINK, "a star needs at least one server")]
-        )
-    nodes: list[Node] = []
-    for i in range(spec.hosts):
-        nodes.append(Node(len(nodes), NodeKind.UE_HOST, f"host{i}"))
-    switch = Node(len(nodes), NodeKind.SWITCH, "switch0")
-    nodes.append(switch)
-    servers = []
-    for j in range(spec.servers):
-        server = Node(len(nodes), NodeKind.SERVER, f"server{j}")
-        nodes.append(server)
-        servers.append(server)
-    controller = Node(len(nodes), NodeKind.CONTROLLER, "controller")
-    nodes.append(controller)
-
-    links: list[Link] = []
-    for i in range(spec.hosts):
-        params = spec.per_host_access.get(i, spec.access)
-        links.append(
-            Link(i, switch.id, params.latency_us, params.bandwidth_bps, params.queue_capacity)
-        )
-    for server in servers:
-        links.append(
-            Link(
-                switch.id,
-                server.id,
-                spec.trunk.latency_us,
-                spec.trunk.bandwidth_bps,
-                spec.trunk.queue_capacity,
-            )
-        )
-    links.append(
-        Link(
-            switch.id,
-            controller.id,
-            spec.control.latency_us,
-            spec.control.bandwidth_bps,
-            spec.control.queue_capacity,
-        )
-    )
-    return Topology(nodes, links)

@@ -22,8 +22,8 @@ record holds the packet itself.  The record shapes, ``t`` in microseconds:
 - ``("mem", t, mb)``: the memory gauge at a monitor tick;
 - ``("detect", t, flow, latency_us)``: a hostile flow's first drop rule,
   ``latency_us`` after the flow's first packet;
-- ``("rule_install", t, src, dst, discriminator, reason)`` and
-  ``("rule_expire", t, src, dst, discriminator)``;
+- ``("rule_install", t, src, dst, tag, reason)`` and
+  ``("rule_expire", t, src, dst, tag)``: a drop rule for that flow;
 - ``("attack", t, name, started)``: a DDoS phase began or ended;
 - ``("reroute", t, src, dst, path)``: congestion moved a flow.
 """
@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from .engine import EventKind, SimEngine, SimTime, US_PER_S, seconds
 from .metrics import KpiReport, WindowAggregator
 from .model import (
+    Flow,
     Link,
     NodeId,
     NodeKind,
@@ -118,7 +119,6 @@ class NetworkSim:
         self.controller = controller
         self.chain = chain
         self.capture = capture
-        self.window_s = window_s
         self.monitor_interval_us = seconds(monitor_interval_s)
         self.memory_base_mb = memory_base_mb
         profiles = [v.settings for v in chain.vnfs if isinstance(v, MitigationProfile)]
@@ -139,8 +139,8 @@ class NetworkSim:
             self._queues[(link.b, link.a)] = DirectionalQueue(link)
 
         self._next_packet_id = 0
-        self._first_threat_emit: dict[tuple[NodeId, NodeId, str], int] = {}
-        self._detected_flows: set[tuple[NodeId, NodeId, str]] = set()
+        self._first_threat_emit: dict[Flow, int] = {}
+        self._detected_flows: set[Flow] = set()
         self._profiles_attached = False
         self._duration_us: SimTime = 0
         # KPIs are reported over the endpoints, not the infrastructure.
@@ -207,8 +207,7 @@ class NetworkSim:
         now = self.engine.now()
         self._record(("emit", now, packet))
         if packet.cls is PacketClass.THREAT:
-            flow = (packet.src, packet.dst, packet.tag)
-            self._first_threat_emit.setdefault(flow, packet.created_at)
+            self._first_threat_emit.setdefault(packet.flow, packet.created_at)
         self._transmit((packet, self.controller.route(packet.src, packet.dst), 0), now)
 
     def _priority_hi(self, packet: Packet) -> bool:
@@ -265,7 +264,7 @@ class NetworkSim:
         """Resolve a packet at a switch; False when it was consumed."""
         decision, rule = self.controller.lookup(packet, t)
         if decision == "drop":
-            self._record(("block", t, packet, rule.reason or "flow_rule"))
+            self._record(("block", t, packet, rule.reason))
             return False
         verdict, cost = self.chain.process(packet, t)
         if self.capture is not None and self.capture.monitoring and not verdict.forward:
@@ -284,30 +283,14 @@ class NetworkSim:
         return True
 
     def _on_rule_installed(self, rule: FlowRule, packet: Packet, t: SimTime) -> None:
-        self._record(
-            (
-                "rule_install",
-                t,
-                rule.key.src,
-                rule.key.dst,
-                rule.key.discriminator,
-                rule.reason,
-            )
-        )
+        self._record(("rule_install", t, *rule.key, rule.reason))
         self._schedule_rule_timeout(rule)
-        if packet.cls is PacketClass.THREAT:
-            flow = (packet.src, packet.dst, packet.tag)
-            if flow not in self._detected_flows:
-                self._detected_flows.add(flow)
-                first_emit = self._first_threat_emit.get(flow, packet.created_at)
-                self._record(
-                    (
-                        "detect",
-                        t,
-                        f"{flow[0]}->{flow[1]}/{flow[2]}",
-                        rule.installed_at - first_emit,
-                    )
-                )
+        flow = rule.key
+        if packet.cls is PacketClass.THREAT and flow not in self._detected_flows:
+            self._detected_flows.add(flow)
+            first_emit = self._first_threat_emit.get(flow, packet.created_at)
+            name = "{}->{}/{}".format(*flow)
+            self._record(("detect", t, name, rule.installed_at - first_emit))
 
     def _schedule_rule_timeout(self, rule: FlowRule) -> None:
         self.engine.schedule(
@@ -319,9 +302,7 @@ class NetworkSim:
 
     def _on_rule_timeout(self, t: SimTime, rule: FlowRule) -> None:
         if self.controller.expire_rule(rule, t):
-            self._record(
-                ("rule_expire", t, rule.key.src, rule.key.dst, rule.key.discriminator)
-            )
+            self._record(("rule_expire", t, *rule.key))
         elif self.controller.is_current(rule):
             # Matches refreshed the rule since this check was queued.
             self._schedule_rule_timeout(rule)

@@ -87,16 +87,16 @@ def build_chain(
     engine: SimEngine,
     topology,
     capture_folder: Path | None,
-) -> tuple[VnfChain, CaptureVnf | None, bool]:
-    """Realise a security-config label as (chain, capture tap, flow rules on)."""
+) -> tuple[VnfChain, CaptureVnf | None]:
+    """Realise a security-config label as (chain, capture tap)."""
     sec = cfg.security
     capture = None
     if label == "no_security":
-        return VnfChain([]), None, False
+        return VnfChain([]), None
     if label == "firewall_only":
-        return VnfChain([FirewallVnf(sec.firewall_rules, topology)]), None, True
+        return VnfChain([FirewallVnf(sec.firewall_rules, topology)]), None
     if label == "ids_only":
-        return VnfChain([IdsVnf(sec.ids)]), None, True
+        return VnfChain([IdsVnf(sec.ids)]), None
     if label in ("vnfsdn", "vnfsdn_firewall"):
         vnfs = [FilterVnf(policy=cfg.policy)]
         if label == "vnfsdn_firewall":
@@ -104,11 +104,11 @@ def build_chain(
         vnfs.append(IdsVnf(sec.ids))
         if sec.capture and capture_folder is not None:
             capture = CaptureVnf(capture_folder, engine.seed)
-        return VnfChain(vnfs), capture, True
+        return VnfChain(vnfs), capture
     if label.startswith(PROFILE_PREFIX):
         name = label[len(PROFILE_PREFIX):]
         rng = engine.register_stream(f"profile/{name}")
-        return VnfChain([MitigationProfile(name, sec.profiles[name], rng)]), None, True
+        return VnfChain([MitigationProfile(name, sec.profiles[name], rng)]), None
     raise ConfigError(f"unknown security config {label!r}")
 
 
@@ -130,8 +130,8 @@ def run_one(
     capture_folder = None
     if out_dir is not None:
         capture_folder = Path(out_dir) / "captures" / f"s{cfg.scenario}_{label}"
-    chain, capture, flow_rules = build_chain(label, cfg, engine, topology, capture_folder)
-    controller = Controller(topology, cfg.controller, flow_rules=flow_rules)
+    chain, capture = build_chain(label, cfg, engine, topology, capture_folder)
+    controller = Controller(topology, cfg.controller)
     sim = NetworkSim(
         topology,
         engine,
@@ -177,7 +177,6 @@ class ScenarioResult:
     seed: int
     config_digest: str
     duration_s: float
-    window_s: float
     rows: tuple[RunRow, ...]
     checks: tuple[TargetCheck, ...] = ()
 
@@ -221,7 +220,6 @@ def run_scenario(
         seed=cfg.seed,
         config_digest=cfg.digest(),
         duration_s=cfg.duration_s,
-        window_s=cfg.window_s,
         rows=tuple(rows),
     )
     if targets is None:
@@ -714,19 +712,12 @@ def load_results(out_dir: str | Path) -> list[ScenarioResult]:
                     RunRow(label, int(rec["hosts"]), RunResult(label=label, report=report, **run))
                 )
         duration = max((r.result.duration_s for r in rows), default=0.0)
-        window_s = 1.0
-        for r in rows:
-            w = r.result.report.windows
-            if len(w) >= 2:
-                window_s = w[1].start_s - w[0].start_s
-                break
         results.append(
             ScenarioResult(
                 scenario=scenario,
                 seed=seed,
                 config_digest="",
                 duration_s=duration,
-                window_s=window_s,
                 rows=tuple(rows),
             )
         )

@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .model import NON_NEGATIVE, POSITIVE, NodeId, Packet, Topology, require
+from .model import NON_NEGATIVE, POSITIVE, Flow, NodeId, Packet, Topology, require
 from .vnf import Verdict
 
 
@@ -40,28 +40,15 @@ class ControllerSettings:
         require(self, ("in (0, 1]", lambda v: 0 < v <= 1), "congestion_threshold")
 
 
-@dataclass(frozen=True)
-class FlowKey:
-    """Flow identity used for rule generalisation: endpoints plus tag."""
-
-    src: NodeId
-    dst: NodeId
-    discriminator: str
-
-
-def flow_key_for(packet: Packet) -> FlowKey:
-    return FlowKey(packet.src, packet.dst, packet.tag)
-
-
 @dataclass
 class FlowRule:
     """Ingress drop rule for one flow."""
 
-    key: FlowKey
+    key: Flow
     installed_at: int
     idle_timeout_us: int
     last_match: int
-    reason: str = ""
+    reason: str
 
     def active(self, now_us: int) -> bool:
         return self.installed_at <= now_us and not self.expired(now_us)
@@ -77,15 +64,13 @@ class Controller:
         self,
         topology: Topology,
         settings: ControllerSettings = ControllerSettings(),
-        *,
-        flow_rules: bool = True,
     ):
         self.topology = topology
         self.settings = settings
         self._idle_timeout_us = int(settings.drop_idle_timeout_s * 1_000_000)
-        self.flow_rules = flow_rules
-        # At most one rule per flow; a reinstall replaces it.
-        self._rules: dict[FlowKey, FlowRule] = {}
+        # At most one rule per flow; a reinstall replaces it.  An idle rule
+        # leaves through ``expire_rule`` only.
+        self._rules: dict[Flow, FlowRule] = {}
         self._routes: dict[tuple[NodeId, NodeId], tuple[NodeId, ...]] = {}
         # (src, dst, hot link) -> route with that link penalised, None when
         # there is none.  The topology and the penalty never change, so the
@@ -144,18 +129,12 @@ class Controller:
         """Resolve a packet against the drop rules.
 
         Returns ("drop", rule), or ("chain", None) when no active rule
-        matches and the packet must be inspected.  An expired rule is
-        evicted on the way.
+        matches and the packet must be inspected.
         """
-        key = flow_key_for(packet)
-        rule = self._rules.get(key)
-        if rule is None:
-            return "chain", None
-        if rule.active(now_us):
+        rule = self._rules.get(packet.flow)
+        if rule is not None and rule.active(now_us):
             rule.last_match = now_us
             return "drop", rule
-        if rule.expired(now_us):
-            del self._rules[key]
         return "chain", None
 
     def on_verdict(
@@ -169,18 +148,17 @@ class Controller:
 
         A block verdict installs an ingress drop rule for the packet's flow,
         active after the install delay plus any reporting delay of the
-        detecting function.  A forward verdict, or any verdict when flow-rule
-        generalisation is disabled, installs nothing.
+        detecting function.  A forward verdict installs nothing.
         """
-        if verdict.forward or not self.flow_rules:
+        if verdict.forward:
             return None
         active_from = now_us + self.settings.install_delay_us + extra_delay_us
         rule = FlowRule(
-            key=flow_key_for(packet),
+            key=packet.flow,
             installed_at=active_from,
             idle_timeout_us=self._idle_timeout_us,
             last_match=active_from,
-            reason=verdict.reason.value if verdict.reason else "",
+            reason=verdict.reason.value,
         )
         self._rules[rule.key] = rule
         self.rules_installed += 1

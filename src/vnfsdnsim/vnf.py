@@ -34,6 +34,7 @@ from .model import (
     FRACTION,
     NON_NEGATIVE,
     POSITIVE,
+    Flow,
     Packet,
     PacketClass,
     SecurityPolicy,
@@ -224,14 +225,14 @@ class MitigationProfile:
     name: str
     settings: ProfileSettings
     rng: RngStream
-    _flows: set[tuple[int, int, str]] = field(default_factory=set, repr=False)
+    _flows: set[Flow] = field(default_factory=set, repr=False)
 
     @property
     def cost_us(self) -> int:
         return self.settings.cost_us
 
     def check(self, packet: Packet, now_us: int = 0) -> Verdict:
-        self._flows.add((packet.src, packet.dst, packet.tag))
+        self._flows.add(packet.flow)
         probability = self.settings.detection_probability
         if packet.cls is PacketClass.THREAT and probability > 0.0:
             if self.rng.uniform() < probability:

@@ -252,6 +252,19 @@ def test_run_guards_against_mismatched_horizons():
         sim.run(0.02)
 
 
+def test_a_run_without_traffic_reports_undefined_ratios():
+    # the first monitor tick would fall at the end of a 1 s run, so the
+    # aggregator is fed no record at all
+    sim = make_sim()
+    sim.attach_traffic(1.0)
+    report = sim.run(1.0).report
+    assert sim.trace == [] and report.counters.total_packets == 0
+    for value in (report.secure_traffic_pct, report.tdr, report.ubr, report.access_outcome,
+                  report.mean_latency_ms, report.availability_pct):
+        assert value is None
+    assert len(report.windows) == 1 and report.reliability == 1.0
+
+
 def test_live_totals_are_conserved_and_match_an_offline_rollup():
     topology = build_topology(
         StarSpec(hosts=4, trunk=LinkParams(latency_us=800, bandwidth_bps=2_000_000,

@@ -128,9 +128,10 @@ def test_from_dict_rejects_malformed_trees():
         (mutated(lambda t: t["security"].update(
             firewall_rules=[{"action": "deny", "tag": "guest"}])),
          "security.firewall_rules.0.tag"),
-        # topologies the star builder refuses
-        (mutated(lambda t: t["topology"].update(hosts=0)), "topology"),
-        (mutated(lambda t: t["topology"]["trunk"].update(bandwidth_bps=0)), "topology"),
+        # topology values out of range
+        (mutated(lambda t: t["topology"].update(hosts=0)), "topology.hosts"),
+        (mutated(lambda t: t["topology"]["trunk"].update(bandwidth_bps=0)),
+         "topology.trunk.bandwidth_bps"),
         # node names the topology does not have
         (mutated(lambda t: t["security"].update(
             firewall_rules=[{"action": "deny", "src": "hostX"}])),
@@ -623,6 +624,17 @@ def test_cli_run_usage_errors(tmp_path):
     # a repeated node name would run two streams off one random stream
     (5, 'traffic.benign.1.sources=["host0","host0"]', "traffic.benign.1.sources"),
     (5, 'traffic.ddos.0.attackers=["host1","host1"]', "traffic.ddos.0.attackers"),
+    # a source that is its own destination has no route
+    (5, 'traffic.benign.1.sources=["host0","server0"]', "traffic.benign.1.sources"),
+    (5, 'traffic.benign.0.sources="all_hosts"', "traffic.benign.0.sources"),  # dst host9
+    (5, 'traffic.ddos.0.attackers=["host9"]', "traffic.ddos.0.attackers"),  # the target
+    # topology keys out of range
+    (5, "topology.hosts=0", "topology.hosts"),
+    (5, "topology.servers=0", "topology.servers"),
+    *((5, f"topology.{link}.{key}={value}", f"topology.{link}.{key}")
+      for link in ("access", "trunk", "control", "per_host_access.9")
+      for key, value in (("latency_us", -1), ("bandwidth_bps", 0), ("queue_capacity", 0))),
+    (2, "sweep.hosts=[0,5]", "sweep.hosts"),
 ])
 def test_cli_run_names_the_bad_key(scenario, assignment, key, tmp_path, capsys):
     code = run_cli("run", "--scenario", str(scenario), "--out", str(tmp_path),
