@@ -332,8 +332,12 @@ class WindowAggregator:
         self.memory_base_mb = memory_base_mb
         self.counters = KpiCounters()
         self._affected: set[int] = set()
-        self._latency: dict[int, list[int]] = {}
-        self._rtt: dict[int, list[int]] = {}
+        # Per window: summed latency of the measured deliveries (counted by
+        # ``WindowRow.delivered_benign``), summed round trips and their count.
+        # Integer sums keep every mean exact.
+        self._latency_us: dict[int, int] = {}
+        self._rtt_us: dict[int, int] = {}
+        self._rtt_n: dict[int, int] = {}
         self._cost_us: dict[int, int] = {}
         self._mem: dict[int, float] = {}
         self._delivered_bits: dict[int, int] = {}
@@ -380,9 +384,12 @@ class WindowAggregator:
                 self._delivered_bits[row.index] = (
                     self._delivered_bits.get(row.index, 0) + pkt.size * 8
                 )
-                self._latency.setdefault(row.index, []).append(t - pkt.created_at)
+                self._latency_us[row.index] = (
+                    self._latency_us.get(row.index, 0) + t - pkt.created_at
+                )
             if pkt.rtt_anchor is not None:
-                self._rtt.setdefault(row.index, []).append(t - pkt.rtt_anchor)
+                self._rtt_us[row.index] = self._rtt_us.get(row.index, 0) + t - pkt.rtt_anchor
+                self._rtt_n[row.index] = self._rtt_n.get(row.index, 0) + 1
         elif kind == "qdrop":
             _, t, pkt = rec
             row = self._row(t)
@@ -434,12 +441,13 @@ class WindowAggregator:
         downtime_us = 0
         prev_latency_ms: float | None = None
         for row in rows:
-            lat = self._latency.get(row.index)
-            if lat:
-                row.mean_latency_ms = sum(lat) / len(lat) / 1000.0
-            rtt = self._rtt.get(row.index)
-            if rtt:
-                row.mean_rtt_ms = sum(rtt) / len(rtt) / 1000.0
+            if row.delivered_benign:
+                row.mean_latency_ms = (
+                    self._latency_us[row.index] / row.delivered_benign / 1000.0
+                )
+            rtt_n = self._rtt_n.get(row.index)
+            if rtt_n:
+                row.mean_rtt_ms = self._rtt_us[row.index] / rtt_n / 1000.0
             row.throughput_mbps = (
                 self._delivered_bits.get(row.index, 0) / self.window_s / 1e6
             )
@@ -467,12 +475,17 @@ class WindowAggregator:
         c.downtime_us = min(downtime_us, c.uptime_us)
         c.check()
 
-        all_latency = [v for vals in self._latency.values() for v in vals]
-        all_rtt = [v for vals in self._rtt.values() for v in vals]
+        benign_sent = sum(r.sent_benign for r in rows)
+        benign_delivered = sum(r.delivered_benign for r in rows)
+        rtts = sum(self._rtt_n.values())
         jitters = [r.jitter_ms for r in rows if r.jitter_ms is not None]
         avails = [r.availability_pct for r in rows if r.availability_pct is not None]
-        mean_latency_ms = sum(all_latency) / len(all_latency) / 1000.0 if all_latency else None
-        mean_rtt_ms = sum(all_rtt) / len(all_rtt) / 1000.0 if all_rtt else None
+        mean_latency_ms = (
+            sum(self._latency_us.values()) / benign_delivered / 1000.0
+            if benign_delivered
+            else None
+        )
+        mean_rtt_ms = sum(self._rtt_us.values()) / rtts / 1000.0 if rtts else None
         detection_ms = (
             sum(self._detections) / len(self._detections) / 1000.0
             if self._detections
@@ -485,8 +498,6 @@ class WindowAggregator:
         if mean_rtt_ms is not None:
             response_ms = mean_rtt_ms + (detection_ms or 0.0)
 
-        benign_sent = sum(r.sent_benign for r in rows)
-        benign_delivered = sum(r.delivered_benign for r in rows)
         duration_s = duration_us / US_PER_S
         mems = [r.memory_mb for r in rows] or [self.memory_base_mb]
 

@@ -3,7 +3,23 @@
 Packets travel their controller-computed route hop by hop.  Each link
 direction is a store-and-forward queue: one transmission at a time, service
 time from the packet size and link bandwidth, propagation delay added after
-serialisation, arrivals beyond the queue capacity dropped.  Switches are
+serialisation, arrivals beyond the queue capacity (packets waiting, not the
+one in service) dropped.  A link direction takes one of two forms:
+
+- without benign-first scheduling it is a FIFO computed at enqueue
+  (``FifoQueue``): the packet starts at ``max(t, free_at)``, so its
+  next-hop arrival is scheduled at once, serialisation plus propagation
+  later, and the link needs no departure event;
+- with it (a mitigation profile's ``prioritize_benign``) it is event-driven
+  (``QosQueue``): benign packets wait in a high band served first, and a
+  benign arrival at a full queue pushes out the newest low-band packet.
+  Which packet goes next is only known when the server frees, so a
+  departure event wakes the server whenever packets wait; a packet that
+  finds the server idle is scheduled straight to its next hop.
+
+Both forms keep one tie rule: a departure at ``t`` frees its slot before an
+arrival at ``t``, whatever order the two events were scheduled in.  With a
+single band the two forms therefore give identical results.  Switches are
 the enforcement points — on arrival a packet is resolved against the flow
 table first (an active drop rule consumes it with no further cost) and
 otherwise walked through the security-function chain, whose verdict is
@@ -59,21 +75,60 @@ RULE_KB = 0.5
 Transit = tuple[Packet, tuple[NodeId, ...], int]
 
 
-class DirectionalQueue:
-    """One transmission direction of a link: two priority bands, one server."""
+class FifoQueue:
+    """One link direction without priorities, computed at enqueue.
 
-    __slots__ = ("link", "hi", "lo", "busy")
+    ``waiting`` holds the start times still in the future, one per queued
+    packet; a packet whose start time the clock has reached left the queue.
+    """
+
+    __slots__ = ("link", "free_at", "waiting")
+
+    def __init__(self, link: Link):
+        self.link = link
+        self.free_at: SimTime = 0
+        self.waiting: deque[SimTime] = deque()
+
+    def _prune(self, t: SimTime) -> None:
+        waiting = self.waiting
+        while waiting and waiting[0] <= t:
+            waiting.popleft()
+
+    def occupancy(self, t: SimTime) -> float:
+        self._prune(t)
+        return len(self.waiting) / self.link.queue_capacity
+
+    def enqueue(self, size: int, t: SimTime) -> SimTime | None:
+        """Queue a packet at ``t``: its departure time, or None when it is dropped."""
+        self._prune(t)
+        if len(self.waiting) >= self.link.queue_capacity:
+            return None
+        start = self.free_at
+        if start > t:
+            self.waiting.append(start)
+        else:
+            start = t
+        self.free_at = start + service_time_us(size, self.link.bandwidth_bps)
+        return self.free_at
+
+
+class QosQueue:
+    """One link direction with benign-first scheduling: two bands, one server."""
+
+    __slots__ = ("link", "hi", "lo", "finish")
 
     def __init__(self, link: Link):
         self.link = link
         self.hi: deque[Transit] = deque()
         self.lo: deque[Transit] = deque()
-        self.busy = False
+        # Departure time of the packet in service; at or before the clock
+        # once the server is idle.
+        self.finish: SimTime = -1
 
     def __len__(self) -> int:
         return len(self.hi) + len(self.lo)
 
-    def occupancy(self) -> float:
+    def occupancy(self, t: SimTime) -> float:
         return len(self) / self.link.queue_capacity
 
 
@@ -131,12 +186,13 @@ class NetworkSim:
         self.aggregator = WindowAggregator(window_s, memory_base_mb=memory_base_mb)
         self.trace: list[tuple] | None = [] if collect_trace else None
 
-        self._queues: dict[tuple[NodeId, NodeId], DirectionalQueue] = {}
+        queue = QosQueue if self.qos_priority else FifoQueue
+        self._queues: dict[tuple[NodeId, NodeId], FifoQueue | QosQueue] = {}
         self._links: dict[frozenset[NodeId], Link] = {}
         for link in topology.links:
             self._links[frozenset((link.a, link.b))] = link
-            self._queues[(link.a, link.b)] = DirectionalQueue(link)
-            self._queues[(link.b, link.a)] = DirectionalQueue(link)
+            self._queues[(link.a, link.b)] = queue(link)
+            self._queues[(link.b, link.a)] = queue(link)
 
         self._next_packet_id = 0
         self._first_threat_emit: dict[Flow, int] = {}
@@ -210,41 +266,58 @@ class NetworkSim:
             self._first_threat_emit.setdefault(packet.flow, packet.created_at)
         self._transmit((packet, self.controller.route(packet.src, packet.dst), 0), now)
 
-    def _priority_hi(self, packet: Packet) -> bool:
-        return self.qos_priority and packet.cls is PacketClass.BENIGN
-
     def _transmit(self, transit: Transit, t: SimTime) -> None:
         packet, route, hop = transit
-        dq = self._queues[(route[hop], route[hop + 1])]
-        if len(dq) >= dq.link.queue_capacity:
-            # Benign-first scheduling may push out a queued low-band packet
-            # instead of tail-dropping the arrival.
-            if self._priority_hi(packet) and dq.lo:
-                self._record(("qdrop", t, dq.lo.pop()[0]))
+        q = self._queues[(route[hop], route[hop + 1])]
+        if self.qos_priority:
+            self._enqueue_qos(q, transit, t)
+            return
+        finish = q.enqueue(packet.size, t)
+        if finish is None:
+            self._record(("qdrop", t, packet))
+        else:
+            self.engine.schedule(
+                finish + q.link.latency_us, EventKind.PACKET_ARRIVAL, self._on_arrival, transit
+            )
+
+    def _enqueue_qos(self, q: QosQueue, transit: Transit, t: SimTime) -> None:
+        packet = transit[0]
+        if q.finish == t:
+            # The packet in service departs now, which frees its slot first.
+            self._start_next(q, t)
+        if q.finish <= t:  # idle, so nothing waits
+            self._serve(q, transit, t)
+            return
+        hi = packet.cls is PacketClass.BENIGN
+        if len(q) >= q.link.queue_capacity:
+            # A benign arrival pushes out a queued low-band packet instead
+            # of being tail-dropped.
+            if hi and q.lo:
+                self._record(("qdrop", t, q.lo.pop()[0]))
             else:
                 self._record(("qdrop", t, packet))
                 return
-        (dq.hi if self._priority_hi(packet) else dq.lo).append(transit)
-        if not dq.busy:
-            self._start_service(dq, t)
+        elif not len(q):
+            # The first packet to wait: wake the server when it frees.
+            self.engine.schedule(q.finish, EventKind.PACKET_DEPARTURE, self._on_departure, q)
+        (q.hi if hi else q.lo).append(transit)
 
-    def _start_service(self, dq: DirectionalQueue, t: SimTime) -> None:
-        transit = (dq.hi or dq.lo).popleft()
-        dq.busy = True
-        tx = service_time_us(transit[0].size, dq.link.bandwidth_bps)
+    def _serve(self, q: QosQueue, transit: Transit, t: SimTime) -> None:
+        q.finish = t + service_time_us(transit[0].size, q.link.bandwidth_bps)
         self.engine.schedule(
-            t + tx, EventKind.PACKET_DEPARTURE, self._on_departure, (dq, transit)
+            q.finish + q.link.latency_us, EventKind.PACKET_ARRIVAL, self._on_arrival, transit
         )
 
-    def _on_departure(self, t: SimTime, payload) -> None:
-        dq, transit = payload
-        self.engine.schedule(
-            t + dq.link.latency_us, EventKind.PACKET_ARRIVAL, self._on_arrival, transit
-        )
-        if len(dq):
-            self._start_service(dq, t)
-        else:
-            dq.busy = False
+    def _start_next(self, q: QosQueue, t: SimTime) -> None:
+        band = q.hi or q.lo
+        if band:
+            self._serve(q, band.popleft(), t)
+            if len(q):
+                self.engine.schedule(q.finish, EventKind.PACKET_DEPARTURE, self._on_departure, q)
+
+    def _on_departure(self, t: SimTime, q: QosQueue) -> None:
+        if q.finish == t:  # not already handed over by an arrival at t
+            self._start_next(q, t)
 
     def _on_arrival(self, t: SimTime, transit: Transit) -> None:
         packet, route, hop = transit
@@ -336,7 +409,7 @@ class NetworkSim:
         for key, link in self._links.items():
             a, b = tuple(key)
             occupancy = max(
-                self._queues[(a, b)].occupancy(), self._queues[(b, a)].occupancy()
+                self._queues[(a, b)].occupancy(t), self._queues[(b, a)].occupancy(t)
             )
             for src, dst, path in self.controller.handle_congestion((a, b), occupancy):
                 self._record(("reroute", t, src, dst, "-".join(map(str, path))))

@@ -1,15 +1,19 @@
 """Dataplane behaviour pinned against hand-computed store-and-forward
-timings: queueing, overflow, benign-first push-out, rule-enforced
-blackholing until idle expiry, detection timing, and conservation of
-packets between the live aggregator and an offline trace rollup.
+timings: queueing, overflow, the departure-before-arrival tie rule on both
+queue paths, benign-first push-out, rule-enforced blackholing until idle
+expiry, detection timing, and conservation of packets between the live
+aggregator and an offline trace rollup.
 
 The default star wiring puts host0/host1 at ids 0/1, the switch at 2 and
 server0 at 3; access links run at 1 Gbps + 300 us, so a 1000-byte packet
 reaches the switch at t+308 us.
 """
 
+from collections import Counter
+
 import pytest
 
+from vnfsdnsim.config import apply_overrides, default_config, from_dict
 from vnfsdnsim.engine import EventKind, SimEngine, seconds
 from vnfsdnsim.metrics import kpi_rollup
 from vnfsdnsim.model import (
@@ -22,6 +26,7 @@ from vnfsdnsim.model import (
     build_topology,
 )
 from vnfsdnsim.runtime import NetworkSim, service_time_us
+from vnfsdnsim.scenarios import run_one
 from vnfsdnsim.sdn import Controller, ControllerSettings
 from vnfsdnsim.traffic import BenignProfile, DdosProfile, SizeDist
 from vnfsdnsim.vnf import (
@@ -36,11 +41,14 @@ from vnfsdnsim.vnf import (
 GOLD_ONLY = SecurityPolicy(accepted_tags=frozenset({"gold"}))
 # 1 Mbps trunk: a 1000-byte packet serialises in 8000 us; queue of 2.
 SLOW_TRUNK = LinkParams(latency_us=800, bandwidth_bps=1_000_000, queue_capacity=2)
+# 10 ms access propagation: a switch arrival is scheduled before the trunk
+# departure it ties with, so the event-driven path cannot win the tie by
+# schedule order alone.
+FAR_ACCESS = LinkParams(latency_us=10_000, bandwidth_bps=1_000_000_000, queue_capacity=64)
 
 
-def make_sim(*, trunk=None, vnfs=(), ctrl=ControllerSettings(), seed=1, hosts=2):
-    spec = StarSpec(hosts=hosts) if trunk is None else StarSpec(hosts=hosts, trunk=trunk)
-    topology = build_topology(spec)
+def make_sim(*, vnfs=(), ctrl=ControllerSettings(), seed=1, hosts=2, **links):
+    topology = build_topology(StarSpec(hosts=hosts, **links))
     engine = SimEngine(seed)
     controller = Controller(topology, ctrl)
     return NetworkSim(
@@ -120,6 +128,55 @@ def test_queue_overflow_tail_drops():
     assert (c.total_packets, c.delivered_packets, c.queue_dropped) == (10, 3, 7)
     assert result.report.benign_loss_total == 7
     assert c.in_flight() == 0
+
+
+@pytest.mark.parametrize("qos", [False, True], ids=["fifo", "qos"])
+@pytest.mark.parametrize("late_us, admitted", [(8000, True), (7999, False)])
+def test_a_departure_frees_its_slot_before_an_arrival_at_the_same_microsecond(
+    qos, late_us, admitted
+):
+    sim = make_sim(trunk=SLOW_TRUNK, access=FAR_ACCESS, vnfs=[qos_profile()] if qos else [])
+    sim.attach_traffic(0.05)
+    # host0's three packets reach the switch at 10_008, 10_016, 10_024: one
+    # in trunk service until 18_008, two waiting, so the queue is full.
+    for pid in range(3):
+        inject_at(sim, 0, pid=pid)
+    # host1's packet reaches the switch at 18_008 (or one us earlier)
+    inject_at(sim, late_us, pid=3, src=1)
+    sim.run(0.05)
+    delivered = [(r[2].id, r[1]) for r in recs(sim, "deliver")]
+    assert delivered[:3] == [(0, 18_808), (1, 26_808), (2, 34_808)]
+    if admitted:
+        assert delivered[3:] == [(3, 42_808)] and recs(sim, "qdrop") == []
+    else:
+        assert delivered[3:] == []
+        assert [(r[1], r[2].id) for r in recs(sim, "qdrop")] == [(18_007, 3)]
+
+
+@pytest.mark.parametrize("qos", [False, True], ids=["fifo", "qos"])
+@pytest.mark.parametrize("packets", [1, 2])
+def test_events_per_two_hop_packet(qos, packets, monkeypatch):
+    sim = make_sim(vnfs=[qos_profile()] if qos else [])
+    scheduled = Counter()
+    schedule = sim.engine.schedule
+
+    def counting(time, kind, fn, payload=None):
+        scheduled[kind.name] += 1
+        schedule(time, kind, fn, payload)
+
+    monkeypatch.setattr(sim.engine, "schedule", counting)
+    sim.attach_traffic(0.01)
+    for pid in range(packets):
+        inject_at(sim, 0, pid=pid)
+    result = sim.run(0.01)
+    # an emit and one arrival per hop; the second packet waits behind the
+    # first on both links, and the event-driven server wakes for it there
+    waits = 2 if qos and packets == 2 else 0
+    assert scheduled == Counter(
+        TRAFFIC_EMIT=packets, PACKET_ARRIVAL=2 * packets, PACKET_DEPARTURE=waits
+    )
+    assert result.events_processed == 3 * packets + waits
+    assert [r[1] for r in recs(sim, "deliver")] == [1188, 1268][:packets]
 
 
 def test_benign_first_scheduling_pushes_out_queued_junk():
@@ -308,3 +365,29 @@ def test_live_totals_are_conserved_and_match_an_offline_rollup():
     offline = kpi_rollup(result.trace, 1.0, duration_us=seconds(2.0),
                          devices_total=5)
     assert offline == result.report
+
+
+# Benign-only traffic puts every packet in one band, so the event-driven
+# benign-first queue and the FIFO computed at enqueue are the same queue.
+DIFFERENTIAL_RUNS = {
+    "s1_surge": (1, None, ["duration_s=4", "traffic.benign.1.window.start_s=1",
+                           "traffic.benign.2.window.start_s=1"]),
+    "s2_100_hosts": (2, 100, ["duration_s=3"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_RUNS))
+def test_both_queue_paths_agree_on_benign_only_traffic(name):
+    scenario, hosts, overrides = DIFFERENTIAL_RUNS[name]
+    tree = apply_overrides(default_config(scenario), [
+        *overrides, "traffic.ddos=[]", "traffic.access=[]",
+    ])
+
+    def run(prioritize):
+        flag = f"security.profiles.qos_sdn.prioritize_benign={prioritize}"
+        return run_one(from_dict(apply_overrides(tree, [flag])), "profile-qos_sdn", hosts=hosts)
+
+    qos, fifo = run("true"), run("false")
+    assert qos.report.counters.queue_dropped > 0
+    assert fifo.report == qos.report
+    assert fifo.events_processed < qos.events_processed
