@@ -18,12 +18,17 @@ one in service) dropped.  A link direction takes one of two forms:
   finds the server idle is scheduled straight to its next hop.
 
 Both forms keep one tie rule: a departure at ``t`` frees its slot before an
-arrival at ``t``, whatever order the two events were scheduled in.  With a
-single band the two forms therefore give identical results.  Switches are
-the enforcement points — on arrival a packet is resolved against the flow
-table first (an active drop rule consumes it with no further cost) and
-otherwise walked through the security-function chain, whose verdict is
-reported back to the controller.
+arrival at ``t`` is admitted or a monitor tick at ``t`` reads the queue,
+whatever order the events were scheduled in.  With a single band the two
+forms therefore admit, drop and time the packets of one link alike.  They
+may still dispatch arrivals from different links that share a microsecond
+in another order, as the FIFO form schedules each arrival earlier; where
+that order matters, the two forms give different runs.
+
+Switches are the enforcement points — on arrival a packet is resolved
+against the flow table first (an active drop rule consumes it with no
+further cost) and otherwise walked through the security-function chain,
+whose verdict is reported back to the controller.
 
 The runtime emits a flat stream of trace records that the window
 aggregator folds into KPIs; the same records can optionally be collected
@@ -129,7 +134,10 @@ class QosQueue:
         return len(self.hi) + len(self.lo)
 
     def occupancy(self, t: SimTime) -> float:
-        return len(self) / self.link.queue_capacity
+        waiting = len(self)
+        if waiting and self.finish == t:
+            waiting -= 1  # the next packet enters service now
+        return waiting / self.link.queue_capacity
 
 
 def service_time_us(size_bytes: int, bandwidth_bps: int) -> int:

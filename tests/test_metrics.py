@@ -5,6 +5,7 @@ aggregation matches a naive single-pass scan over the same trace.
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -419,6 +420,36 @@ def test_rollup_empty_trace_rejected():
 
     with pytest.raises(EmptyTrace):
         kpi_rollup([], window_s=1.0)
+
+
+def test_aggregator_window_means_count_each_delivery_once():
+    # Measured deliveries carry the latency, unmeasured responses the round
+    # trip; each mean divides its own sum by its own count.
+    t0 = 100_000
+    measured = [_packet(1, t0), _packet(2, t0), _packet(3, t0), _packet(4, SECOND + t0)]
+    responses = [
+        replace(_packet(5, t0, rtt_anchor=t0), measured=False),
+        replace(_packet(6, t0, rtt_anchor=t0), measured=False),
+        replace(_packet(7, SECOND + t0, rtt_anchor=SECOND + t0 - 3_000), measured=False),
+    ]
+    agg = WindowAggregator(window_s=1.0)
+    for p in measured + responses:
+        agg.feed(("emit", p.created_at, p))
+    for p, delivered_at in zip(
+        measured + responses,
+        (t0 + 1_000, t0 + 2_000, t0 + 6_000, SECOND + t0 + 4_000,
+         t0 + 10_000, t0 + 14_000, SECOND + t0 + 4_000),
+    ):
+        agg.feed(("deliver", delivered_at, p))
+    report = agg.finalize(3 * SECOND, devices_total=1)
+    w0, w1, w2 = report.windows
+    assert w0.mean_latency_ms == pytest.approx(3.0)  # (1 + 2 + 6) / 3
+    assert w0.mean_rtt_ms == pytest.approx(12.0)  # (10 + 14) / 2
+    assert w1.mean_latency_ms == pytest.approx(4.0)
+    assert w1.mean_rtt_ms == pytest.approx(7.0)
+    assert w2.mean_latency_ms is None and w2.mean_rtt_ms is None
+    assert report.mean_latency_ms == pytest.approx(13 / 4)
+    assert report.mean_rtt_ms == pytest.approx(31 / 3)
 
 
 def test_aggregator_availability_capped_at_100():

@@ -154,6 +154,26 @@ def test_a_departure_frees_its_slot_before_an_arrival_at_the_same_microsecond(
 
 
 @pytest.mark.parametrize("qos", [False, True], ids=["fifo", "qos"])
+def test_occupancy_counts_a_departure_at_the_same_microsecond_as_gone(qos):
+    sim = make_sim(trunk=SLOW_TRUNK, access=FAR_ACCESS, vnfs=[qos_profile()] if qos else [])
+    switch, server = sim.topology.by_name("switch0").id, sim.topology.by_name("server0").id
+    trunk = sim._queues[(switch, server)]
+    seen = {}
+    # Probes scheduled before the run go ahead of every packet event at
+    # their microsecond, as a monitor tick does.
+    for t in (18_007, 18_008):
+        sim.engine.schedule(
+            t, EventKind.MONITOR_SAMPLE, lambda now, _: seen.setdefault(now, trunk.occupancy(now))
+        )
+    sim.attach_traffic(0.05)
+    # as above: packet 0 in trunk service until 18_008, packets 1 and 2 waiting
+    for pid in range(3):
+        inject_at(sim, 0, pid=pid)
+    sim.run(0.05)
+    assert seen == {18_007: 1.0, 18_008: 0.5}
+
+
+@pytest.mark.parametrize("qos", [False, True], ids=["fifo", "qos"])
 @pytest.mark.parametrize("packets", [1, 2])
 def test_events_per_two_hop_packet(qos, packets, monkeypatch):
     sim = make_sim(vnfs=[qos_profile()] if qos else [])
