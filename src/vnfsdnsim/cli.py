@@ -175,7 +175,7 @@ def _cmd_compare(args) -> int:
     all_passed = True
     for result in results:
         comparison = compare_to_targets(result, targets)
-        if not comparison.checks:
+        if not comparison.checks and not comparison.skipped:
             continue
         print(f"scenario {result.scenario} seed {result.seed}:")
         for check in comparison.checks:

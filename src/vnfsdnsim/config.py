@@ -44,6 +44,13 @@ SCENARIO_IDS = (1, 2, 3, 4, 5, 6)
 KNOWN_LABELS = ("no_security", "firewall_only", "ids_only", "vnfsdn", "vnfsdn_firewall")
 PROFILE_PREFIX = "profile-"
 
+#: ``require`` ranges: a scenario number, and a label some run can have.
+SCENARIO = (f"one of {SCENARIO_IDS}", lambda v: v in SCENARIO_IDS)
+SECURITY_LABEL = (
+    f"one of {', '.join(KNOWN_LABELS)} or {PROFILE_PREFIX}<name>",
+    lambda v: v in KNOWN_LABELS or (v.startswith(PROFILE_PREFIX) and v != PROFILE_PREFIX),
+)
+
 
 class ConfigError(Exception):
     """The configuration tree is malformed or inconsistent."""
@@ -62,12 +69,12 @@ class SecuritySettings:
     capture: bool = True
 
     def __post_init__(self) -> None:
+        text, ok = SECURITY_LABEL
+        require(self, (f"labels each {text}", lambda v: all(map(ok, v))), "configs")
         for label in self.configs:
-            if label.startswith(PROFILE_PREFIX):
-                if label[len(PROFILE_PREFIX):] not in self.profiles:
-                    raise ValueError(f"config {label!r} names an undeclared profile")
-            elif label not in KNOWN_LABELS:
-                raise ValueError(f"unknown security config {label!r}")
+            profile = label.removeprefix(PROFILE_PREFIX)
+            if profile != label and profile not in self.profiles:
+                raise ValueError(f"config {label!r} names an undeclared profile")
         if len(set(self.configs)) != len(self.configs):
             raise ValueError("configs contains duplicates")
 
@@ -107,8 +114,7 @@ class ScenarioConfig:
     raw: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.scenario not in SCENARIO_IDS:
-            raise ValueError(f"scenario must be one of {SCENARIO_IDS}, got {self.scenario!r}")
+        require(self, SCENARIO, "scenario")
         require(self, POSITIVE, "duration_s", "window_s", "monitor_interval_s")
 
     def digest(self) -> str:

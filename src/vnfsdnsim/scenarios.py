@@ -29,6 +29,8 @@ from pathlib import Path
 from typing import Literal, get_args, get_type_hints
 
 from .config import (
+    SCENARIO,
+    SECURITY_LABEL,
     ConfigError,
     PROFILE_PREFIX,
     ScenarioConfig,
@@ -45,7 +47,7 @@ from .metrics import (
     WindowRow,
     check_hypothesis1,
 )
-from .model import build_topology
+from .model import POSITIVE, build_topology, require
 from .runtime import NetworkSim, RunResult
 from .sdn import Controller
 from .vnf import (
@@ -162,7 +164,7 @@ class RunRow:
 @dataclass(frozen=True)
 class TargetCheck:
     name: str
-    measured: float | None
+    measured: float
     expected: float
     tolerance: float
     comparator: str
@@ -224,10 +226,7 @@ def run_scenario(
     )
     if targets is None:
         targets = CalibrationTargets.shipped()
-    relevant = [t for t in targets.targets if t.scenario == scenario_id]
-    if relevant:
-        comparison = compare_to_targets(result, targets)
-        result.checks = tuple(comparison.checks)
+    result.checks = compare_to_targets(result, targets).checks
     return result
 
 
@@ -237,25 +236,34 @@ def run_scenario(
 
 @dataclass(frozen=True)
 class TargetSpec:
+    """The summary column ``metric`` of run ``config``; with a ``baseline`` run,
+    its ``gain`` over that run or its ``reduction_pct`` from it.  ``Metric`` is
+    declared beside the summary column table."""
+
     name: str
     scenario: int
+    config: str
+    metric: Metric
     value: float
+    baseline: str | None = None
+    form: Literal["reduction_pct", "gain"] | None = None
     comparator: Literal["abs", "ge", "le"] = "abs"
     tolerance: float | None = None
     tolerance_pct: float | None = None
     normative: bool = True
-    scale_with_duration: bool = False
-    reference_duration_s: float | None = None
+    reference_duration_s: float | None = None  # scales the value by run length
     note: str = ""
 
     def __post_init__(self) -> None:
+        require(self, SCENARIO, "scenario")
+        require(self, SECURITY_LABEL, "config")
+        given = ("given exactly when baseline is", lambda v: (v is None) == (self.baseline is None))
+        require(self, given, "form")
+        for key in ("baseline", "tolerance", "tolerance_pct", "reference_duration_s"):
+            if getattr(self, key) is not None:
+                require(self, SECURITY_LABEL if key == "baseline" else POSITIVE, key)
         if (self.tolerance is None) == (self.tolerance_pct is None):
             raise ValueError(f"target {self.name}: exactly one tolerance form required")
-        tol = self.tolerance if self.tolerance is not None else self.tolerance_pct
-        if tol <= 0:
-            raise ValueError(f"target {self.name}: tolerance must be positive")
-        if self.scale_with_duration and not self.reference_duration_s:
-            raise ValueError(f"target {self.name}: scaling needs a reference duration")
 
 
 @dataclass(frozen=True)
@@ -289,55 +297,24 @@ def _availability_range(report: KpiReport) -> tuple[float | None, float | None]:
     return (min(values), max(values)) if values else (None, None)
 
 
-def _reduction_pct(baseline: float | None, improved: float | None, what: str) -> float:
-    if baseline is None or improved is None or baseline <= 0:
-        raise MissingMetric(f"cannot compute {what} reduction (baseline {baseline!r})")
-    return (baseline - improved) / baseline * 100.0
+def _measure(result: ScenarioResult, spec: TargetSpec) -> float:
+    """The value a calibration target checks; MissingMetric when it is undefined."""
 
+    def value(label: str) -> float:
+        found = _summary_values(result.scenario, result.row(label))[spec.metric]
+        if found is None:
+            raise MissingMetric(f"{spec.metric} is undefined for {label!r}")
+        return float(found)
 
-def _measure(result: ScenarioResult, name: str) -> float:
-    """Resolve a calibration-target name to a measured value."""
-
-    def report(label: str) -> KpiReport:
-        return result.row(label).result.report
-
-    if name.startswith("s1_benign_loss_"):
-        return float(report(name.removeprefix("s1_benign_loss_")).benign_loss_total)
-    if name == "s1_availability_min_no_security":
-        value = _availability_range(report("no_security"))[0]
-    elif name == "s1_availability_peak_vnfsdn_firewall":
-        value = _availability_range(report("vnfsdn_firewall"))[1]
-    elif name.startswith("s4_latency_ms_"):
-        value = report(name.removeprefix("s4_latency_ms_")).mean_latency_ms
-    elif name.startswith("s4_jitter_ms_"):
-        value = report(name.removeprefix("s4_jitter_ms_")).jitter_ms
-    elif name.startswith("s4_throughput_mbps_"):
-        value = report(name.removeprefix("s4_throughput_mbps_")).throughput_mbps
-    elif name == "s4_lab_throughput_mbps":
-        value = report("vnfsdn").throughput_mbps
-    elif name == "s5_response_reduction_pct":
-        return _reduction_pct(
-            report("no_security").response_time_ms,
-            report("vnfsdn").response_time_ms,
-            "response-time",
-        )
-    elif name == "s5_benign_loss_reduction_pct":
-        return _reduction_pct(
-            float(report("no_security").benign_loss_total),
-            float(report("vnfsdn").benign_loss_total),
-            "benign-loss",
-        )
-    elif name == "s5_availability_gain_pp":
-        base = report("no_security").availability_pct
-        new = report("vnfsdn").availability_pct
-        if base is None or new is None:
-            raise MissingMetric("availability undefined in one of the runs")
-        return new - base
-    else:
-        raise ConfigError(f"unknown calibration target {name!r}")
-    if value is None:
-        raise MissingMetric(f"metric for {name!r} is undefined in this run")
-    return float(value)
+    measured = value(spec.config)
+    if spec.baseline is None:
+        return measured
+    base = value(spec.baseline)
+    if spec.form == "gain":
+        return measured - base
+    if base <= 0:
+        raise MissingMetric(f"no reduction from a baseline {spec.metric} of {base!r}")
+    return (base - measured) / base * 100.0
 
 
 @dataclass(frozen=True)
@@ -352,10 +329,11 @@ def compare_to_targets(
 ) -> ComparisonReport:
     """Mark each target for this scenario pass/fail against measured values.
 
-    Targets whose metric cannot be resolved in this result — typically a
-    security configuration that was not part of the run — are reported as
-    skipped rather than failed, so partial runs stay comparable.  Target
-    names the resolver does not know at all raise ConfigError.
+    A target is skipped rather than failed, so partial runs stay
+    comparable, only when its config or baseline was not part of the run
+    or its value is undefined there (a None metric, or a reduction from a
+    baseline of 0 or less).  A target that could fit no run at all is
+    already rejected when the targets file loads.
     """
     checks = []
     skipped = []
@@ -363,7 +341,7 @@ def compare_to_targets(
         if spec.scenario != result.scenario:
             continue
         expected = spec.value
-        if spec.scale_with_duration:
+        if spec.reference_duration_s is not None:
             expected *= result.duration_s / spec.reference_duration_s
         tol = (
             spec.tolerance
@@ -371,7 +349,7 @@ def compare_to_targets(
             else abs(expected) * spec.tolerance_pct / 100.0
         )
         try:
-            measured = _measure(result, spec.name)
+            measured = _measure(result, spec)
         except MissingMetric as exc:
             skipped.append((spec.name, str(exc)))
             continue
@@ -405,10 +383,13 @@ def compare_to_targets(
 # column's name, position, owner and value type are stated once.
 
 
+_type_hints = cache(get_type_hints)
+
+
 @cache
 def _value_type(owner: type, attr: str) -> type:
     """The type a dataclass field holds (int, float or str), None stripped."""
-    hint = get_type_hints(owner)[attr]
+    hint = _type_hints(owner)[attr]
     return next(t for t in get_args(hint) or (hint,) if t is not type(None))
 
 
@@ -451,6 +432,12 @@ _SUMMARY_COLUMNS = (
     *_columns(RunResult, "rules_installed", "reroutes", "events_processed", "event_hash"),
 )
 
+#: A calibration target's metric: any numeric summary column.
+Metric = Literal[tuple(
+    col for col, owner, attr in _SUMMARY_COLUMNS
+    if col != "config" and (owner is None or _value_type(owner, attr) is not str)
+)]
+
 
 def _cell(value) -> str:
     """Canonical CSV cell: empty for undefined, 6-decimal fixed for floats."""
@@ -481,7 +468,8 @@ def _window_object(w: WindowRow) -> dict:
     return obj
 
 
-def _summary_object(scenario: int, row: RunRow) -> dict:
+def _summary_values(scenario: int, row: RunRow) -> dict:
+    """A run's summary columns, unrounded, in file order."""
     rep = row.result.report
     avail_min, avail_peak = _availability_range(rep)
     derived = {
@@ -492,11 +480,15 @@ def _summary_object(scenario: int, row: RunRow) -> dict:
         "availability_peak_pct": avail_peak,
     }
     owners = {RunResult: row.result, KpiReport: rep, KpiCounters: rep.counters}
-    obj = {"kind": "summary"}
-    for col, owner, attr in _SUMMARY_COLUMNS:
-        value = derived[col] if owner is None else getattr(owners[owner], attr)
-        obj[col] = _round6(value)
-    return obj
+    return {
+        col: derived[col] if owner is None else getattr(owners[owner], attr)
+        for col, owner, attr in _SUMMARY_COLUMNS
+    }
+
+
+def _summary_object(scenario: int, row: RunRow) -> dict:
+    values = _summary_values(scenario, row)
+    return {"kind": "summary", **{col: _round6(v) for col, v in values.items()}}
 
 
 def _result_object(result: ScenarioResult) -> dict:

@@ -36,6 +36,7 @@ from vnfsdnsim.scenarios import (
     UnsupportedVersion,
     _result_object,
     capture_dump,
+    compare_to_targets,
     emit_results,
     hypothesis1_sizes,
     load_results,
@@ -266,21 +267,25 @@ def test_digest_follows_content():
 # calibration targets
 
 
+def target_spec(**keys) -> TargetSpec:
+    """A target on the shrunk run's vnfsdn mean latency, with ``keys`` replaced."""
+    return TargetSpec(**{"name": "x", "scenario": 1, "config": "vnfsdn",
+                         "metric": "mean_latency_ms", "value": 1.0, "tolerance": 1.0, **keys})
+
+
 def test_target_spec_validation():
-    ok = TargetSpec(name="x", scenario=1, value=10.0, comparator="ge", tolerance=1.0)
+    ok = target_spec(value=10.0, comparator="ge")
     assert ok.normative
     with pytest.raises(ValueError):
-        TargetSpec(name="x", scenario=1, value=1.0, comparator="abs",
-                   tolerance=1.0, tolerance_pct=5.0)
+        target_spec(comparator="abs", tolerance_pct=5.0)
     with pytest.raises(ValueError):
-        TargetSpec(name="x", scenario=1, value=1.0, comparator="abs")
+        target_spec(comparator="abs", tolerance=None)
     with pytest.raises(ValueError):
-        TargetSpec(name="x", scenario=1, value=1.0, comparator="abs", tolerance=-2.0)
+        target_spec(comparator="abs", tolerance=-2.0)
     with pytest.raises(ValueError):
-        TargetSpec(name="x", scenario=1, value=1.0, comparator="abs", tolerance=1.0,
-                   scale_with_duration=True)
-    between = {"name": "x", "scenario": 1, "value": 1.0, "comparator": "between",
-               "tolerance": 1.0}
+        target_spec(reference_duration_s=0.0)
+    between = {"name": "x", "scenario": 1, "config": "vnfsdn", "metric": "mean_latency_ms",
+               "value": 1.0, "comparator": "between", "tolerance": 1.0}
     with pytest.raises(ConfigError, match=re.escape("targets.0.comparator")):
         CalibrationTargets.from_dict({"targets": [between]})
 
@@ -294,6 +299,10 @@ def test_shipped_targets_are_wellformed():
     assert len(informational) == 1
     assert informational[0].name == "s4_lab_throughput_mbps"
     assert informational[0].note  # explains why it cannot bind
+    # a valid label that the scenario does not run would be skipped forever
+    for t in targets.targets:
+        configs = default_config(t.scenario)["security"]["configs"]
+        assert t.config in configs and t.baseline in (None, *configs), t.name
 
 
 # ----------------------------------------------------------------------
@@ -329,6 +338,34 @@ def test_scenario_result_shape(emitted):
     # that is visible, not hidden: checks exist and the loss ones fail
     assert result.checks and not all(c.passed for c in result.checks)
     assert len(result.digest()) == 64
+
+
+def test_target_value_is_a_summary_lookup(emitted):
+    result, _, _ = emitted
+    secure = result.row("vnfsdn").result.report
+    plain = result.row("no_security").result.report
+    against = {"baseline": "no_security", "metric": "throughput_mbps"}
+    comparison = compare_to_targets(result, CalibrationTargets((
+        target_spec(name="latency"),
+        target_spec(name="gain", form="gain", **against),
+        target_spec(name="reduction", form="reduction_pct", **against),
+        # no_security blocks nothing, so there is nothing to reduce from
+        target_spec(name="zero", form="reduction_pct", baseline="no_security",
+                    metric="blocked_packets"),
+        target_spec(name="absent", config="firewall_only"),
+        target_spec(name="elsewhere", scenario=4),
+    )))
+    measured = {c.name: c.measured for c in comparison.checks}
+    assert measured == {
+        "latency": secure.mean_latency_ms,
+        "gain": secure.throughput_mbps - plain.throughput_mbps,
+        "reduction": (plain.throughput_mbps - secure.throughput_mbps)
+        / plain.throughput_mbps * 100.0,
+    }
+    assert plain.counters.blocked_packets == 0
+    skipped = dict(comparison.skipped)
+    assert set(skipped) == {"zero", "absent"}
+    assert "no run for security config 'firewall_only'" in skipped["absent"]
 
 
 def test_emitted_file_inventory(emitted):
@@ -650,21 +687,38 @@ def test_cli_compare_exit_codes(emitted, tmp_path, capsys):
     capsys.readouterr()
     # a targets file this run does satisfy
     lenient = tmp_path / "targets.json"
-    lenient.write_text(json.dumps({
-        "targets": [{
-            "name": "s1_availability_min_no_security",
-            "scenario": 1, "value": 1.0, "comparator": "ge", "tolerance": 1.0,
-        }]
-    }))
+    target = {"name": "s1_availability_min_no_security", "scenario": 1,
+              "config": "no_security", "metric": "availability_min_pct", "value": 1.0,
+              "tolerance": 1.0}
+    lenient.write_text(json.dumps({"targets": [{**target, "comparator": "ge"}]}))
     assert run_cli("compare", "--result", str(out), "--targets", str(lenient)) == 0
     assert "[pass]" in capsys.readouterr().out
-    # a misspelled key is named, not read as its default
-    target = {"name": "s1_availability_min_no_security", "scenario": 1, "value": 1.0,
-              "tolerance": 1.0}
-    for typo, value in (("normativ", False), ("scenarioo", 3)):
-        lenient.write_text(json.dumps({"targets": [{**target, typo: value}]}))
+    # a target on a config the run left out is listed, and fails nothing
+    lenient.write_text(json.dumps({"targets": [{**target, "config": "firewall_only"}]}))
+    assert run_cli("compare", "--result", str(out), "--targets", str(lenient)) == 0
+    printed = capsys.readouterr().out
+    assert "scenario 1 seed 101:" in printed and "[skip]" in printed
+    # a misspelled key or a value no run can have is named, not skipped
+    for key, change in (
+        ("normativ", {"normativ": False}),
+        ("scenarioo", {"scenarioo": 3}),
+        ("config", {"config": "vnfsdnn"}),
+        ("metric", {"metric": "latency_ms"}),
+        ("baseline", {"baseline": "nosec", "form": "gain"}),
+        ("form", {"baseline": "vnfsdn", "form": "ratio"}),
+        ("form", {"baseline": "vnfsdn"}),
+        ("scenario", {"scenario": 7}),
+    ):
+        lenient.write_text(json.dumps({"targets": [{**target, **change}]}))
         assert run_cli("compare", "--result", str(out), "--targets", str(lenient)) == 2
-        assert f"targets.0.{typo}" in capsys.readouterr().err
+        assert f"targets.0.{key}" in capsys.readouterr().err
+    # run checks the file before it starts a cell
+    results = tmp_path / "unrun"
+    results.mkdir()
+    assert run_cli("run", "--scenario", "1", "--out", str(results), "--targets", str(lenient),
+                   *(f"--set={s}" for s in SHRINK)) == 2
+    assert "targets.0.scenario" in capsys.readouterr().err
+    assert list(results.iterdir()) == []
     empty = tmp_path / "void"
     empty.mkdir()
     assert run_cli("compare", "--result", str(empty)) == 2
