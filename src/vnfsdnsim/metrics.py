@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .engine import US_PER_S
-from .model import PacketClass
+from .model import Packet, PacketClass
 
 # ----------------------------------------------------------------------
 # error conditions
@@ -319,7 +319,9 @@ class KpiReport:
 class WindowAggregator:
     """Streaming fold of trace records into windows and run totals.
 
-    The runtime feeds records live; ``kpi_rollup`` feeds a stored trace.
+    Each record kind that carries KPIs has a method of its name taking the
+    record's fields.  The runtime calls those live; ``feed`` dispatches a
+    record tuple to them, which is how ``kpi_rollup`` folds a stored trace.
     Both paths share this single implementation, so a rollup over a
     collected trace reproduces the streaming result record for record.
     """
@@ -330,6 +332,9 @@ class WindowAggregator:
         self.window_s = window_s
         self.window_us = int(window_s * US_PER_S)
         self.memory_base_mb = memory_base_mb
+        self._benign_weight = CLASS_WEIGHTS[PacketClass.BENIGN]
+        self._threat_weight = CLASS_WEIGHTS[PacketClass.THREAT]
+        self._unauthorized_weight = CLASS_WEIGHTS[PacketClass.UNAUTHORIZED_ACCESS]
         self.counters = KpiCounters()
         self._affected: set[int] = set()
         # Per window: summed latency of the measured deliveries (counted by
@@ -355,72 +360,81 @@ class WindowAggregator:
         return row
 
     def feed(self, rec: tuple) -> None:
-        """Consume one trace record (the shapes are listed in ``vnfsdnsim.runtime``)."""
-        kind = rec[0]
+        """Consume one trace record (the shapes are listed in ``vnfsdnsim.runtime``).
+
+        Each KPI-bearing kind goes to the fold of that name, which the
+        runtime also calls directly; the other kinds carry no KPIs.
+        """
+        fold = _FOLDS.get(rec[0])
+        if fold is not None:
+            fold(self, *rec[1:])
+
+    def emit(self, t: int, pkt: Packet) -> None:
+        row = self._row(t)
         c = self.counters
-        if kind == "emit":
-            _, t, pkt = rec
-            row = self._row(t)
-            c.total_packets += 1
-            row.monitored_weighted_bytes += CLASS_WEIGHTS[pkt.cls] * pkt.size
-            if pkt.cls is PacketClass.THREAT:
-                c.threat_packets += 1
-                row.threat_sent += 1
-            elif pkt.cls is PacketClass.UNAUTHORIZED_ACCESS:
-                c.unauthorized_attempts += 1
-                row.unauthorized_sent += 1
+        c.total_packets += 1
+        cls = pkt.cls
+        # Identity tests, not a CLASS_WEIGHTS lookup: hashing an Enum member
+        # runs Python code.
+        if cls is PacketClass.BENIGN:
+            row.monitored_weighted_bytes += self._benign_weight * pkt.size
+        elif cls is PacketClass.THREAT:
+            row.monitored_weighted_bytes += self._threat_weight * pkt.size
+            c.threat_packets += 1
+            row.threat_sent += 1
+        else:
+            row.monitored_weighted_bytes += self._unauthorized_weight * pkt.size
+            c.unauthorized_attempts += 1
+            row.unauthorized_sent += 1
+        if pkt.origin.startswith("access/"):
+            c.access_attempts += 1
+        if pkt.measured:
+            row.sent_benign += 1
+
+    def deliver(self, t: int, pkt: Packet) -> None:
+        row = self._row(t)
+        self.counters.delivered_packets += 1
+        if pkt.cls is PacketClass.THREAT:
+            self._affected.add(pkt.dst)
+        idx = row.index
+        if pkt.measured:
+            row.delivered_benign += 1
+            self._delivered_bits[idx] = self._delivered_bits.get(idx, 0) + pkt.size * 8
+            self._latency_us[idx] = self._latency_us.get(idx, 0) + t - pkt.created_at
+        if pkt.rtt_anchor is not None:
+            self._rtt_us[idx] = self._rtt_us.get(idx, 0) + t - pkt.rtt_anchor
+            self._rtt_n[idx] = self._rtt_n.get(idx, 0) + 1
+
+    def qdrop(self, t: int, pkt: Packet) -> None:
+        row = self._row(t)
+        self.counters.queue_dropped += 1
+        if pkt.measured:
+            row.benign_queue_drops += 1
+
+    def block(self, t: int, pkt: Packet, _reason: str) -> None:
+        row = self._row(t)
+        c = self.counters
+        c.blocked_packets += 1
+        if pkt.cls is PacketClass.THREAT:
+            c.blocked_threat_packets += 1
+            row.threat_blocked += 1
+        elif pkt.cls is PacketClass.UNAUTHORIZED_ACCESS:
+            c.blocked_unauthorized += 1
+            row.unauthorized_blocked += 1
             if pkt.origin.startswith("access/"):
-                c.access_attempts += 1
-            if pkt.measured:
-                row.sent_benign += 1
-        elif kind == "deliver":
-            _, t, pkt = rec
-            row = self._row(t)
-            c.delivered_packets += 1
-            if pkt.cls is PacketClass.THREAT:
-                self._affected.add(pkt.dst)
-            if pkt.measured:
-                row.delivered_benign += 1
-                self._delivered_bits[row.index] = (
-                    self._delivered_bits.get(row.index, 0) + pkt.size * 8
-                )
-                self._latency_us[row.index] = (
-                    self._latency_us.get(row.index, 0) + t - pkt.created_at
-                )
-            if pkt.rtt_anchor is not None:
-                self._rtt_us[row.index] = self._rtt_us.get(row.index, 0) + t - pkt.rtt_anchor
-                self._rtt_n[row.index] = self._rtt_n.get(row.index, 0) + 1
-        elif kind == "qdrop":
-            _, t, pkt = rec
-            row = self._row(t)
-            c.queue_dropped += 1
-            if pkt.measured:
-                row.benign_queue_drops += 1
-        elif kind == "block":
-            _, t, pkt, _reason = rec
-            row = self._row(t)
-            c.blocked_packets += 1
-            if pkt.cls is PacketClass.THREAT:
-                c.blocked_threat_packets += 1
-                row.threat_blocked += 1
-            elif pkt.cls is PacketClass.UNAUTHORIZED_ACCESS:
-                c.blocked_unauthorized += 1
-                row.unauthorized_blocked += 1
-                if pkt.origin.startswith("access/"):
-                    c.failed_access += 1
-            if pkt.measured:
-                row.benign_blocked += 1
-        elif kind == "cost":
-            _, t, cost_us = rec
-            idx = t // self.window_us
-            self._cost_us[idx] = self._cost_us.get(idx, 0) + cost_us
-        elif kind == "mem":
-            _, t, mb = rec
-            self._mem[t // self.window_us] = mb
-        elif kind == "detect":
-            _, _t, _flow, latency_us = rec
-            self._detections.append(latency_us)
-        # rule_install / rule_expire / attack / reroute records carry no KPIs.
+                c.failed_access += 1
+        if pkt.measured:
+            row.benign_blocked += 1
+
+    def cost(self, t: int, cost_us: int) -> None:
+        idx = t // self.window_us
+        self._cost_us[idx] = self._cost_us.get(idx, 0) + cost_us
+
+    def mem(self, t: int, mb: float) -> None:
+        self._mem[t // self.window_us] = mb
+
+    def detect(self, _t: int, _flow: str, latency_us: int) -> None:
+        self._detections.append(latency_us)
 
     # -- finalising --------------------------------------------------------
 
@@ -527,6 +541,14 @@ class WindowAggregator:
             benign_delivered=benign_delivered,
             benign_loss_total=cumulative_loss,
         )
+
+
+#: The fold of each KPI-bearing record kind; rule_install, rule_expire,
+#: attack and reroute records carry no KPIs.
+_FOLDS = {
+    kind: getattr(WindowAggregator, kind)
+    for kind in ("emit", "deliver", "qdrop", "block", "cost", "mem", "detect")
+}
 
 
 def kpi_rollup(

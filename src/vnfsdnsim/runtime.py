@@ -25,15 +25,25 @@ may still dispatch arrivals from different links that share a microsecond
 in another order, as the FIFO form schedules each arrival earlier; where
 that order matters, the two forms give different runs.
 
+On both forms a packet's last hop to an endpoint needs no event either:
+its ``deliver`` is recorded when that hop is scheduled, stamped with the
+arrival time, if that time is within the run's horizon; a later one stays
+in flight.  Only a request that asks for a response arrives by event, as
+its response leaves at that moment.
+
 Switches are the enforcement points — on arrival a packet is resolved
 against the flow table first (an active drop rule consumes it with no
 further cost) and otherwise walked through the security-function chain,
 whose verdict is reported back to the controller.
 
 The runtime emits a flat stream of trace records that the window
-aggregator folds into KPIs; the same records can optionally be collected
-for offline rollups and assertions.  Packets are immutable, so a packet
-record holds the packet itself.  The record shapes, ``t`` in microseconds:
+aggregator folds into KPIs; the hot packet records go straight to the
+aggregator's fold of their kind, and the rest through its ``feed``.  The
+same records can optionally be collected for offline rollups and
+assertions.  A ``deliver`` is collected when it is recorded, ahead of its
+``t``, so a collected trace is not sorted by ``t``.  Packets are immutable,
+so a packet record holds the packet itself.  The record shapes, ``t`` in
+microseconds:
 
 - ``("emit", t, packet)``: the packet entered the network at its source;
 - ``("deliver", t, packet)``: it reached its destination;
@@ -54,6 +64,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
 from .engine import EventKind, SimEngine, SimTime, US_PER_S, seconds
 from .metrics import KpiReport, WindowAggregator
@@ -105,15 +116,19 @@ class FifoQueue:
 
     def enqueue(self, size: int, t: SimTime) -> SimTime | None:
         """Queue a packet at ``t``: its departure time, or None when it is dropped."""
-        self._prune(t)
-        if len(self.waiting) >= self.link.queue_capacity:
+        # ``_prune`` and ``service_time_us``, inlined on the per-hop path.
+        waiting = self.waiting
+        while waiting and waiting[0] <= t:
+            waiting.popleft()
+        link = self.link
+        if len(waiting) >= link.queue_capacity:
             return None
         start = self.free_at
         if start > t:
-            self.waiting.append(start)
+            waiting.append(start)
         else:
             start = t
-        self.free_at = start + service_time_us(size, self.link.bandwidth_bps)
+        self.free_at = start + max(1, math.ceil(size * 8 * US_PER_S / link.bandwidth_bps))
         return self.free_at
 
 
@@ -193,6 +208,12 @@ class NetworkSim:
         self.label = label
         self.aggregator = WindowAggregator(window_s, memory_base_mb=memory_base_mb)
         self.trace: list[tuple] | None = [] if collect_trace else None
+        # The per-packet records skip the tuple and ``feed``'s dispatch.
+        self._rec_emit = self._recorder("emit")
+        self._rec_deliver = self._recorder("deliver")
+        self._rec_qdrop = self._recorder("qdrop")
+        self._rec_block = self._recorder("block")
+        self._rec_cost = self._recorder("cost")
 
         queue = QosQueue if self.qos_priority else FifoQueue
         self._queues: dict[tuple[NodeId, NodeId], FifoQueue | QosQueue] = {}
@@ -207,6 +228,7 @@ class NetworkSim:
         self._detected_flows: set[Flow] = set()
         self._profiles_attached = False
         self._duration_us: SimTime = 0
+        self._switch_ids = frozenset(n.id for n in topology.by_kind(NodeKind.SWITCH))
         # KPIs are reported over the endpoints, not the infrastructure.
         self._device_ids = [
             n.id
@@ -221,6 +243,20 @@ class NetworkSim:
         self.aggregator.feed(rec)
         if self.trace is not None:
             self.trace.append(rec)
+
+    def _recorder(self, kind: str) -> Callable[..., None]:
+        """The aggregator's fold of ``kind`` records, called with the record's
+        fields; with a trace, it also builds and keeps the record."""
+        fold = getattr(self.aggregator, kind)
+        trace = self.trace
+        if trace is None:
+            return fold
+
+        def fold_and_keep(*fields) -> None:
+            fold(*fields)
+            trace.append((kind, *fields))
+
+        return fold_and_keep
 
     def _alloc_id(self) -> int:
         pid = self._next_packet_id
@@ -269,7 +305,7 @@ class NetworkSim:
     def inject(self, packet: Packet) -> None:
         """Entry point for freshly emitted packets."""
         now = self.engine.now()
-        self._record(("emit", now, packet))
+        self._rec_emit(now, packet)
         if packet.cls is PacketClass.THREAT:
             self._first_threat_emit.setdefault(packet.flow, packet.created_at)
         self._transmit((packet, self.controller.route(packet.src, packet.dst), 0), now)
@@ -282,11 +318,29 @@ class NetworkSim:
             return
         finish = q.enqueue(packet.size, t)
         if finish is None:
-            self._record(("qdrop", t, packet))
+            self._rec_qdrop(t, packet)
         else:
-            self.engine.schedule(
-                finish + q.link.latency_us, EventKind.PACKET_ARRIVAL, self._on_arrival, transit
-            )
+            self._hop(transit, finish + q.link.latency_us)
+
+    def _hop(self, transit: Transit, at: SimTime) -> None:
+        """Hand a packet to the next node of its route at ``at``.
+
+        The last hop to an endpoint needs no event: the delivery is recorded
+        now, at its arrival time ``at``, when that falls within the horizon;
+        a later one stays in flight.  A request that asks for a response
+        still arrives by event, as its response leaves at that moment.
+        """
+        packet, route, hop = transit
+        nxt = route[hop + 1]
+        if (
+            nxt == packet.dst
+            and nxt not in self._switch_ids
+            and not (packet.is_request and packet.response_size > 0)
+        ):
+            if at <= self._duration_us:
+                self._rec_deliver(at, packet)
+            return
+        self.engine.schedule(at, EventKind.PACKET_ARRIVAL, self._on_arrival, transit)
 
     def _enqueue_qos(self, q: QosQueue, transit: Transit, t: SimTime) -> None:
         packet = transit[0]
@@ -301,9 +355,9 @@ class NetworkSim:
             # A benign arrival pushes out a queued low-band packet instead
             # of being tail-dropped.
             if hi and q.lo:
-                self._record(("qdrop", t, q.lo.pop()[0]))
+                self._rec_qdrop(t, q.lo.pop()[0])
             else:
-                self._record(("qdrop", t, packet))
+                self._rec_qdrop(t, packet)
                 return
         elif not len(q):
             # The first packet to wait: wake the server when it frees.
@@ -312,9 +366,7 @@ class NetworkSim:
 
     def _serve(self, q: QosQueue, transit: Transit, t: SimTime) -> None:
         q.finish = t + service_time_us(transit[0].size, q.link.bandwidth_bps)
-        self.engine.schedule(
-            q.finish + q.link.latency_us, EventKind.PACKET_ARRIVAL, self._on_arrival, transit
-        )
+        self._hop(transit, q.finish + q.link.latency_us)
 
     def _start_next(self, q: QosQueue, t: SimTime) -> None:
         band = q.hi or q.lo
@@ -330,10 +382,10 @@ class NetworkSim:
     def _on_arrival(self, t: SimTime, transit: Transit) -> None:
         packet, route, hop = transit
         hop += 1
-        node = self.topology.node(route[hop])
-        if node.kind is NodeKind.SWITCH and not self._admit(packet, t):
+        node = route[hop]
+        if node in self._switch_ids and not self._admit(packet, t):
             return
-        if node.id == packet.dst:
+        if node == packet.dst:
             self._deliver(packet, t)
             return
         self._transmit((packet, route, hop), t)
@@ -345,7 +397,7 @@ class NetworkSim:
         """Resolve a packet at a switch; False when it was consumed."""
         decision, rule = self.controller.lookup(packet, t)
         if decision == "drop":
-            self._record(("block", t, packet, rule.reason))
+            self._rec_block(t, packet, rule.reason)
             return False
         verdict, cost = self.chain.process(packet, t)
         if self.capture is not None and self.capture.monitoring and not verdict.forward:
@@ -353,15 +405,14 @@ class NetworkSim:
             self.capture.capture(packet, verdict, t)
             cost += self.capture.cost_us
         if cost:
-            self._record(("cost", t, cost))
-        extra_delay = self._report_delay_us if not verdict.forward else 0
-        installed = self.controller.on_verdict(packet, verdict, t, extra_delay)
+            self._rec_cost(t, cost)
+        if verdict.forward:  # the controller installs nothing for it
+            return True
+        installed = self.controller.on_verdict(packet, verdict, t, self._report_delay_us)
         if installed is not None:
             self._on_rule_installed(installed, packet, t)
-        if not verdict.forward:
-            self._record(("block", t, packet, verdict.label))
-            return False
-        return True
+        self._rec_block(t, packet, verdict.label)
+        return False
 
     def _on_rule_installed(self, rule: FlowRule, packet: Packet, t: SimTime) -> None:
         self._record(("rule_install", t, *rule.key, rule.reason))
@@ -392,7 +443,7 @@ class NetworkSim:
     # delivery and responses
 
     def _deliver(self, packet: Packet, t: SimTime) -> None:
-        self._record(("deliver", t, packet))
+        self._rec_deliver(t, packet)
         if packet.is_request and packet.response_size > 0:
             response = Packet(
                 id=self._alloc_id(),

@@ -238,7 +238,8 @@ def run_scenario(
 class TargetSpec:
     """The summary column ``metric`` of run ``config``; with a ``baseline`` run,
     its ``gain`` over that run or its ``reduction_pct`` from it.  ``Metric`` is
-    declared beside the summary column table."""
+    declared beside the summary column table.  A scenario 2 target names the
+    sweep point it reads with ``hosts``: the rows ``<config>_h<NNN>``."""
 
     name: str
     scenario: int
@@ -253,6 +254,7 @@ class TargetSpec:
     normative: bool = True
     reference_duration_s: float | None = None  # scales the value by run length
     note: str = ""
+    hosts: int | None = None
 
     def __post_init__(self) -> None:
         require(self, SCENARIO, "scenario")
@@ -262,6 +264,9 @@ class TargetSpec:
         for key in ("baseline", "tolerance", "tolerance_pct", "reference_duration_s"):
             if getattr(self, key) is not None:
                 require(self, SECURITY_LABEL if key == "baseline" else POSITIVE, key)
+        if self.hosts is not None:
+            require(self, ("at least 1, and given only for scenario 2",
+                           lambda v: self.scenario == 2 and v >= 1), "hosts")
         if (self.tolerance is None) == (self.tolerance_pct is None):
             raise ValueError(f"target {self.name}: exactly one tolerance form required")
 
@@ -306,10 +311,11 @@ def _measure(result: ScenarioResult, spec: TargetSpec) -> float:
             raise MissingMetric(f"{spec.metric} is undefined for {label!r}")
         return float(found)
 
-    measured = value(spec.config)
+    suffix = "" if spec.hosts is None else f"_h{spec.hosts:03d}"
+    measured = value(spec.config + suffix)
     if spec.baseline is None:
         return measured
-    base = value(spec.baseline)
+    base = value(spec.baseline + suffix)
     if spec.form == "gain":
         return measured - base
     if base <= 0:

@@ -62,10 +62,6 @@ class ActivityWindow:
         cycles, offset = divmod(active_s, self.burst_on_s)
         return seconds(self.start_s + cycles * self.burst_period_s + offset)
 
-    def expired(self, wall_us: SimTime, duration_us: SimTime) -> bool:
-        limit = duration_us if self.stop_s is None else min(seconds(self.stop_s), duration_us)
-        return wall_us >= limit
-
 
 @dataclass(frozen=True)
 class SizeDist:
@@ -269,35 +265,30 @@ def emit_stream(
         return
     rng = engine.register_stream(stream.name)
     window = stream.window
+    limit = duration_us if window.stop_s is None else min(seconds(window.stop_s), duration_us)
+    # The stream's constants, bound once: ``emit`` runs once per packet.
+    src, dst, size, protocol = stream.src, stream.dst, stream.size, stream.protocol
+    cls, tag, threat_kind, origin = stream.cls, stream.tag, stream.threat_kind, stream.origin
+    measured, rate = stream.measured, stream.rate_pps
+    request_fraction, response_size = stream.request_fraction, stream.response_size
     cursor = 0.0  # seconds on the stream's active axis
 
     def emit(now: SimTime, _payload) -> None:
         # The request draw, when there is one, comes before the size draw.
-        is_request = stream.request_fraction > 0.0 and rng.uniform() < stream.request_fraction
+        is_request = request_fraction > 0.0 and rng.uniform() < request_fraction
         sink(
             Packet(
-                id=next_id(),
-                src=stream.src,
-                dst=stream.dst,
-                size=stream.size.draw(rng),
-                protocol=stream.protocol,
-                cls=stream.cls,
-                tag=stream.tag,
-                created_at=now,
-                threat_kind=stream.threat_kind,
-                origin=stream.origin,
-                measured=stream.measured,
-                is_request=is_request,
-                response_size=stream.response_size if is_request else 0,
+                next_id(), src, dst, size.draw(rng), protocol, cls, tag, now, threat_kind,
+                origin, measured, is_request, response_size if is_request else 0,
             )
         )
         push_next()
 
     def push_next() -> None:
         nonlocal cursor
-        cursor += rng.exponential(stream.rate_pps)
+        cursor += rng.exponential(rate)
         wall = window.wall_us(cursor)
-        if not window.expired(wall, duration_us):
+        if wall < limit:
             engine.schedule(wall, EventKind.TRAFFIC_EMIT, emit)
 
     push_next()

@@ -77,10 +77,12 @@ class Verdict:
 
 
 FORWARD = Verdict(True)
+#: One block verdict per reason: verdicts are immutable, so they are built once.
+_BLOCKS = {reason: Verdict(False, reason) for reason in BlockReason}
 
 
 def block(reason: BlockReason) -> Verdict:
-    return Verdict(False, reason)
+    return _BLOCKS[reason]
 
 
 # ----------------------------------------------------------------------

@@ -10,9 +10,11 @@ reaches the switch at t+308 us.
 """
 
 from collections import Counter
+from functools import partial
 
 import pytest
 
+from vnfsdnsim import scenarios
 from vnfsdnsim.config import apply_overrides, default_config, from_dict
 from vnfsdnsim.engine import EventKind, SimEngine, seconds
 from vnfsdnsim.metrics import kpi_rollup
@@ -105,6 +107,20 @@ def test_single_packet_latency_is_the_sum_of_hops():
     assert result.report.counters.in_flight() == 0
 
 
+@pytest.mark.parametrize("qos", [False, True], ids=["fifo", "qos"])
+@pytest.mark.parametrize("sent_at, delivered", [(0, True), (1, False)])
+def test_a_last_hop_counts_when_it_arrives_by_the_horizon(qos, sent_at, delivered):
+    sim = make_sim(vnfs=[qos_profile()] if qos else [])
+    # the horizon is the 1188 us a packet sent at 0 needs to reach server0
+    sim.attach_traffic(0.001188)
+    inject_at(sim, sent_at, pid=7)
+    counters = sim.run(0.001188).report.counters
+    assert [(r[2].id, r[1]) for r in recs(sim, "deliver")] == ([(7, 1188)] if delivered else [])
+    assert (counters.delivered_packets, counters.in_flight()) == (
+        (1, 0) if delivered else (0, 1)
+    )
+
+
 def test_fifo_queueing_delays_the_second_packet():
     sim = make_sim()
     sim.attach_traffic(0.01)
@@ -189,13 +205,15 @@ def test_events_per_two_hop_packet(qos, packets, monkeypatch):
     for pid in range(packets):
         inject_at(sim, 0, pid=pid)
     result = sim.run(0.01)
-    # an emit and one arrival per hop; the second packet waits behind the
-    # first on both links, and the event-driven server wakes for it there
+    # an emit and the arrival at the switch; the delivery is recorded when
+    # the last hop is scheduled, without an event.  The second packet waits
+    # behind the first on both links, and the event-driven server wakes for
+    # it there
     waits = 2 if qos and packets == 2 else 0
     assert scheduled == Counter(
-        TRAFFIC_EMIT=packets, PACKET_ARRIVAL=2 * packets, PACKET_DEPARTURE=waits
+        TRAFFIC_EMIT=packets, PACKET_ARRIVAL=packets, PACKET_DEPARTURE=waits
     )
-    assert result.events_processed == 3 * packets + waits
+    assert result.events_processed == 2 * packets + waits
     assert [r[1] for r in recs(sim, "deliver")] == [1188, 1268][:packets]
 
 
@@ -385,6 +403,30 @@ def test_live_totals_are_conserved_and_match_an_offline_rollup():
     offline = kpi_rollup(result.trace, 1.0, duration_us=seconds(2.0),
                          devices_total=5)
     assert offline == result.report
+
+
+# Shrunk s1 and s5 with their attacks moved to 0.5 s: every security config
+# blocks, drops or delivers; s5's qos_sdn profile runs the benign-first queue.
+ROLLUP_RUNS = {
+    1: ["traffic.ddos.0.window.start_s=0.5", "traffic.ddos.1.window.start_s=0.5"],
+    5: ["traffic.ddos.0.window.start_s=0.5"],
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(ROLLUP_RUNS))
+def test_the_runtime_folds_and_feed_agree(scenario, monkeypatch):
+    # The runtime calls the aggregator's fold of each packet record kind
+    # directly; kpi_rollup feeds the collected tuples through ``feed``.
+    monkeypatch.setattr(scenarios, "NetworkSim", partial(NetworkSim, collect_trace=True))
+    cfg = from_dict(apply_overrides(default_config(scenario),
+                                    ["duration_s=2", *ROLLUP_RUNS[scenario]]))
+    devices = cfg.topology.hosts + cfg.topology.servers
+    for label in cfg.security.configs:
+        result = run_one(cfg, label)
+        offline = kpi_rollup(result.trace, cfg.window_s, duration_us=seconds(cfg.duration_s),
+                             devices_total=devices, memory_base_mb=cfg.memory_base_mb)
+        assert offline == result.report, label
+        assert offline.counters.delivered_packets > 0, label
 
 
 # Benign-only traffic puts every packet in one band, so the event-driven

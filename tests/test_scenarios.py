@@ -724,6 +724,25 @@ def test_cli_compare_exit_codes(emitted, tmp_path, capsys):
     assert run_cli("compare", "--result", str(empty)) == 2
 
 
+def test_cli_compare_checks_a_scenario_2_target_at_its_sweep_point(tmp_path, capsys):
+    out = tmp_path / "s2"
+    assert run_cli("run", "--scenario", "2", "--out", str(out), "--set", "duration_s=1",
+                   "--set", "sweep.hosts=[4]", "--set", 'security.configs=["vnfsdn"]') == 0
+    capsys.readouterr()
+    targets = tmp_path / "targets.json"
+    target = {"name": "s2_latency_h004", "scenario": 2, "config": "vnfsdn",
+              "metric": "mean_latency_ms", "value": 1.0, "tolerance": 100.0, "hosts": 4}
+    targets.write_text(json.dumps({"targets": [target]}))
+    assert run_cli("compare", "--result", str(out), "--targets", str(targets)) == 0
+    printed = capsys.readouterr().out
+    assert "[pass] s2_latency_h004" in printed and "[skip]" not in printed
+    # hosts reads a sweep row, so it is accepted only for scenario 2, and at least 1
+    for change in ({"hosts": 0}, {"scenario": 1}):
+        targets.write_text(json.dumps({"targets": [{**target, **change}]}))
+        assert run_cli("compare", "--result", str(out), "--targets", str(targets)) == 2
+        assert "targets.0.hosts" in capsys.readouterr().err
+
+
 def test_cli_verify_exit_codes(monkeypatch, capsys):
     assert run_cli("verify-hypothesis1", "--n-max", "9") == 0
     assert "strictly increasing: yes" in capsys.readouterr().out
