@@ -2,7 +2,7 @@
 guarded by a chain of virtual network functions.
 
 The public surface: build a topology, choose a security configuration,
-attach traffic, run — or use the canned evaluation scenarios and the
+run it with traffic profiles — or use the canned evaluation scenarios and the
 ``vnfsdnsim`` command-line tool.
 """
 

@@ -223,7 +223,7 @@ def from_dict(tree: dict) -> ScenarioConfig:
     """Validate a configuration tree and build the typed view of it.
 
     The star is built once, at the smallest sweep point, to resolve every
-    node name the tree uses.
+    node name the tree uses; traffic must run between hosts and servers.
     """
     cfg = _build(ScenarioConfig, tree, "")
     object.__setattr__(cfg, "raw", tree)
@@ -245,10 +245,13 @@ def from_dict(tree: dict) -> ScenarioConfig:
                 raise ConfigError(f"{path}.{src_key}: includes the {dst_key} {dst!r}")
             refs.append((f"{path}.{dst_key}", dst))
             refs += [(f"{path}.{src_key}.{j}", n) for j, n in enumerate(senders)]
-    known = {node.name for node in topology.nodes}
+    kinds = {node.name: node.kind for node in topology.nodes}
     for path, name in refs:
-        if name is not None and name not in known:
+        if name is not None and name not in kinds:
             raise ConfigError(f"{path}: no node named {name!r}")
+        # Traffic runs between endpoints: every route is (src, switch, dst).
+        if path.startswith("traffic.") and kinds[name] not in (NodeKind.UE_HOST, NodeKind.SERVER):
+            raise ConfigError(f"{path}: {name!r} is not a host or a server")
     return cfg
 
 

@@ -34,10 +34,7 @@ class TimeTravel(Exception):
 class EventKind(Enum):
     PACKET_ARRIVAL = "packet_arrival"
     PACKET_DEPARTURE = "packet_departure"
-    RULE_TIMEOUT = "rule_timeout"
     TRAFFIC_EMIT = "traffic_emit"
-    ATTACK_START = "attack_start"
-    ATTACK_STOP = "attack_stop"
     MONITOR_SAMPLE = "monitor_sample"
 
 
@@ -109,9 +106,11 @@ class SimEngine:
         """Number of events dispatched so far."""
         return self._processed
 
-    def pending(self) -> int:
-        """Number of events still queued."""
-        return len(self._heap)
+    def pending(self, kind: EventKind | None = None) -> int:
+        """Number of events still queued, or of those of one ``kind``."""
+        if kind is None:
+            return len(self._heap)
+        return sum(1 for ev in self._heap if ev[2] is kind)
 
     def schedule(
         self,

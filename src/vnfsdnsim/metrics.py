@@ -543,8 +543,8 @@ class WindowAggregator:
         )
 
 
-#: The fold of each KPI-bearing record kind; rule_install, rule_expire,
-#: attack and reroute records carry no KPIs.
+#: The fold of each KPI-bearing record kind; rule_install and reroute
+#: records carry no KPIs.
 _FOLDS = {
     kind: getattr(WindowAggregator, kind)
     for kind in ("emit", "deliver", "qdrop", "block", "cost", "mem", "detect")

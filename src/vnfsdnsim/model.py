@@ -91,10 +91,11 @@ class Packet:
 
     The trailing fields are simulator plumbing: ``origin`` names the traffic
     profile that emitted the packet, ``measured`` marks it as part of the
-    user-facing benign workload that KPIs are computed over, and a request
-    asks its destination for a ``response_size``-byte reply whose
-    ``rtt_anchor`` is the request's creation time.  Forwarding state (route
-    and hop) travels with the packet in the runtime's events, not on it.
+    user-facing benign workload that KPIs are computed over, and a packet
+    with a positive ``response_size`` is a request: it asks its destination
+    for a reply of that many bytes, whose ``rtt_anchor`` is the request's
+    creation time.  Forwarding state (route and hop) travels with the
+    packet in the runtime's events, not on it.
     """
 
     id: int
@@ -108,7 +109,6 @@ class Packet:
     threat_kind: ThreatKind | None = None
     origin: str = ""
     measured: bool = False
-    is_request: bool = False
     response_size: int = 0
     rtt_anchor: int | None = None
 

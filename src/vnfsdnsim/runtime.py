@@ -25,16 +25,25 @@ may still dispatch arrivals from different links that share a microsecond
 in another order, as the FIFO form schedules each arrival earlier; where
 that order matters, the two forms give different runs.
 
-On both forms a packet's last hop to an endpoint needs no event either:
-its ``deliver`` is recorded when that hop is scheduled, stamped with the
-arrival time, if that time is within the run's horizon; a later one stays
-in flight.  Only a request that asks for a response arrives by event, as
-its response leaves at that moment.
+Traffic runs between hosts and servers only, so every route is
+``(src, switch, dst)`` and only the switch takes an arrival event.  When
+a hop is handed on (``_hop``) at its arrival time ``at``:
 
-Switches are the enforcement points — on arrival a packet is resolved
+- a hop to the switch schedules the arrival there;
+- a last hop to the destination needs no event: when ``at`` is within the
+  run's horizon its ``deliver`` is recorded at once, stamped ``at``, and a
+  request schedules its response to leave at ``at``; a later one is
+  counted as a late hop and stays in flight.
+
+At the end of a run every packet in flight is held somewhere: in a late
+hop, in an arrival event still queued, or in a benign-first queue's band.
+The run checks that the counts match.
+
+The switch is the enforcement point — on arrival a packet is resolved
 against the flow table first (an active drop rule consumes it with no
 further cost) and otherwise walked through the security-function chain,
-whose verdict is reported back to the controller.
+whose verdict is reported back to the controller.  A drop rule that has
+gone idle matches nothing; no event removes it.
 
 The runtime emits a flat stream of trace records that the window
 aggregator folds into KPIs; the hot packet records go straight to the
@@ -53,9 +62,7 @@ microseconds:
 - ``("mem", t, mb)``: the memory gauge at a monitor tick;
 - ``("detect", t, flow, latency_us)``: a hostile flow's first drop rule,
   ``latency_us`` after the flow's first packet;
-- ``("rule_install", t, src, dst, tag, reason)`` and
-  ``("rule_expire", t, src, dst, tag)``: a drop rule for that flow;
-- ``("attack", t, name, started)``: a DDoS phase began or ended;
+- ``("rule_install", t, src, dst, tag, reason)``: a drop rule for that flow;
 - ``("reroute", t, src, dst, path)``: congestion moved a flow.
 """
 
@@ -64,7 +71,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .engine import EventKind, SimEngine, SimTime, US_PER_S, seconds
 from .metrics import KpiReport, WindowAggregator
@@ -226,9 +233,8 @@ class NetworkSim:
         self._next_packet_id = 0
         self._first_threat_emit: dict[Flow, int] = {}
         self._detected_flows: set[Flow] = set()
-        self._profiles_attached = False
         self._duration_us: SimTime = 0
-        self._switch_ids = frozenset(n.id for n in topology.by_kind(NodeKind.SWITCH))
+        self._late_hops = 0  # last hops that arrive after the horizon
         # KPIs are reported over the endpoints, not the infrastructure.
         self._device_ids = [
             n.id
@@ -264,42 +270,6 @@ class NetworkSim:
         return pid
 
     # ------------------------------------------------------------------
-    # traffic attachment
-
-    def attach_traffic(
-        self,
-        duration_s: float,
-        benign: list[BenignProfile] = (),
-        ddos: list[DdosProfile] = (),
-        access: list[AccessProfile] = (),
-    ) -> None:
-        """Schedule every profile's emissions for a run of ``duration_s``.
-
-        A DDoS profile's attack-phase markers follow its attacker streams.
-        """
-        duration_us = seconds(duration_s)
-        self._duration_us = duration_us
-        for profile in (*benign, *ddos, *access):
-            for stream in profile.streams(self.topology):
-                emit_stream(self.engine, stream, duration_us, self._alloc_id, self.inject)
-            if isinstance(profile, DdosProfile):
-                window = profile.window
-                start = seconds(window.start_s)
-                stop = duration_us if window.stop_s is None else seconds(window.stop_s)
-                if start < duration_us:
-                    self.engine.schedule(
-                        start, EventKind.ATTACK_START, self._on_attack_phase, (profile.name, True)
-                    )
-                if stop <= duration_us:
-                    self.engine.schedule(
-                        stop, EventKind.ATTACK_STOP, self._on_attack_phase, (profile.name, False)
-                    )
-        self._profiles_attached = True
-
-    def _on_attack_phase(self, t: SimTime, phase: tuple[str, bool]) -> None:
-        self._record(("attack", t, *phase))
-
-    # ------------------------------------------------------------------
     # packet lifecycle
 
     def inject(self, packet: Packet) -> None:
@@ -323,24 +293,17 @@ class NetworkSim:
             self._hop(transit, finish + q.link.latency_us)
 
     def _hop(self, transit: Transit, at: SimTime) -> None:
-        """Hand a packet to the next node of its route at ``at``.
-
-        The last hop to an endpoint needs no event: the delivery is recorded
-        now, at its arrival time ``at``, when that falls within the horizon;
-        a later one stays in flight.  A request that asks for a response
-        still arrives by event, as its response leaves at that moment.
-        """
+        """Hand a packet to the next node of its route at ``at``: an arrival
+        event at the switch, else its delivery, recorded now."""
         packet, route, hop = transit
-        nxt = route[hop + 1]
-        if (
-            nxt == packet.dst
-            and nxt not in self._switch_ids
-            and not (packet.is_request and packet.response_size > 0)
-        ):
-            if at <= self._duration_us:
-                self._rec_deliver(at, packet)
-            return
-        self.engine.schedule(at, EventKind.PACKET_ARRIVAL, self._on_arrival, transit)
+        if route[hop + 1] != packet.dst:
+            self.engine.schedule(at, EventKind.PACKET_ARRIVAL, self._on_arrival, transit)
+        elif at > self._duration_us:
+            self._late_hops += 1
+        else:
+            self._rec_deliver(at, packet)
+            if packet.response_size:
+                self.engine.schedule(at, EventKind.PACKET_ARRIVAL, self._respond, packet)
 
     def _enqueue_qos(self, q: QosQueue, transit: Transit, t: SimTime) -> None:
         packet = transit[0]
@@ -381,14 +344,8 @@ class NetworkSim:
 
     def _on_arrival(self, t: SimTime, transit: Transit) -> None:
         packet, route, hop = transit
-        hop += 1
-        node = route[hop]
-        if node in self._switch_ids and not self._admit(packet, t):
-            return
-        if node == packet.dst:
-            self._deliver(packet, t)
-            return
-        self._transmit((packet, route, hop), t)
+        if self._admit(packet, t):
+            self._transmit((packet, route, hop + 1), t)
 
     # ------------------------------------------------------------------
     # security enforcement
@@ -416,7 +373,6 @@ class NetworkSim:
 
     def _on_rule_installed(self, rule: FlowRule, packet: Packet, t: SimTime) -> None:
         self._record(("rule_install", t, *rule.key, rule.reason))
-        self._schedule_rule_timeout(rule)
         flow = rule.key
         if packet.cls is PacketClass.THREAT and flow not in self._detected_flows:
             self._detected_flows.add(flow)
@@ -424,41 +380,25 @@ class NetworkSim:
             name = "{}->{}/{}".format(*flow)
             self._record(("detect", t, name, rule.installed_at - first_emit))
 
-    def _schedule_rule_timeout(self, rule: FlowRule) -> None:
-        self.engine.schedule(
-            rule.last_match + rule.idle_timeout_us + 1,
-            EventKind.RULE_TIMEOUT,
-            self._on_rule_timeout,
-            rule,
-        )
-
-    def _on_rule_timeout(self, t: SimTime, rule: FlowRule) -> None:
-        if self.controller.expire_rule(rule, t):
-            self._record(("rule_expire", t, *rule.key))
-        elif self.controller.is_current(rule):
-            # Matches refreshed the rule since this check was queued.
-            self._schedule_rule_timeout(rule)
-
     # ------------------------------------------------------------------
-    # delivery and responses
+    # responses
 
-    def _deliver(self, packet: Packet, t: SimTime) -> None:
-        self._rec_deliver(t, packet)
-        if packet.is_request and packet.response_size > 0:
-            response = Packet(
+    def _respond(self, t: SimTime, request: Packet) -> None:
+        self.inject(
+            Packet(
                 id=self._alloc_id(),
-                src=packet.dst,
-                dst=packet.src,
-                size=packet.response_size,
-                protocol=packet.protocol,
+                src=request.dst,
+                dst=request.src,
+                size=request.response_size,
+                protocol=request.protocol,
                 cls=PacketClass.BENIGN,
-                tag=packet.tag,
+                tag=request.tag,
                 created_at=t,
-                origin=f"response/{packet.origin}",
+                origin=f"response/{request.origin}",
                 measured=False,
-                rtt_anchor=packet.created_at,
+                rtt_anchor=request.created_at,
             )
-            self.inject(response)
+        )
 
     # ------------------------------------------------------------------
     # monitoring
@@ -490,22 +430,27 @@ class NetworkSim:
     # ------------------------------------------------------------------
     # running
 
-    def run(self, duration_s: float) -> RunResult:
-        """Advance the clock to ``duration_s`` and fold the KPI report."""
-        if not self._profiles_attached:
-            raise RuntimeError("attach_traffic() must be called before run()")
+    def run(
+        self,
+        duration_s: float,
+        benign: Iterable[BenignProfile] = (),
+        ddos: Iterable[DdosProfile] = (),
+        access: Iterable[AccessProfile] = (),
+    ) -> RunResult:
+        """Run every profile's emissions for ``duration_s`` and fold the KPI
+        report; raise if a packet in flight is not held anywhere."""
         duration_us = seconds(duration_s)
-        if duration_us != self._duration_us:
-            raise ValueError(
-                f"run duration {duration_s}s does not match the attached "
-                f"traffic horizon {self._duration_us / US_PER_S}s"
-            )
+        self._duration_us = duration_us
+        for profile in (*benign, *ddos, *access):
+            for stream in profile.streams(self.topology):
+                emit_stream(self.engine, stream, duration_us, self._alloc_id, self.inject)
         if self.monitor_interval_us < duration_us:
             self.engine.schedule(
                 self.monitor_interval_us, EventKind.MONITOR_SAMPLE, self._on_monitor_tick
             )
         self.engine.run_until(duration_us)
         report = self.aggregator.finalize(duration_us, len(self._device_ids))
+        self._check_conservation(report.counters.in_flight())
         if self.capture is not None and self.capture.monitoring:
             self.capture.stop_and_save()
         return RunResult(
@@ -519,3 +464,10 @@ class NetworkSim:
             reroutes=self.controller.reroutes,
             trace=self.trace,
         )
+
+    def _check_conservation(self, in_flight: int) -> None:
+        """Raise unless the packets in flight are exactly those still held."""
+        waiting = sum(len(q) for q in self._queues.values() if isinstance(q, QosQueue))
+        held = self._late_hops + self.engine.pending(EventKind.PACKET_ARRIVAL) + waiting
+        if in_flight != held:
+            raise RuntimeError(f"packet conservation: {in_flight} in flight, {held} held")

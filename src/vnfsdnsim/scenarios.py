@@ -2,7 +2,7 @@
 
 Six canned evaluations share one execution path: build the topology, wire
 a security configuration (an ordered function chain plus controller
-settings), attach the scenario's traffic profiles, run, and fold KPIs.
+settings), run the scenario's traffic profiles through it, and fold KPIs.
 Every security configuration of a scenario runs under the same seed; the
 per-(profile, source) random streams guarantee the offered traffic is
 byte-identical across configurations, so KPI deltas are attributable to
@@ -145,13 +145,8 @@ def run_one(
         memory_base_mb=cfg.memory_base_mb,
         label=label,
     )
-    sim.attach_traffic(
-        cfg.duration_s,
-        benign=list(cfg.traffic.benign),
-        ddos=list(cfg.traffic.ddos),
-        access=list(cfg.traffic.access),
-    )
-    return sim.run(cfg.duration_s)
+    traffic = cfg.traffic
+    return sim.run(cfg.duration_s, traffic.benign, traffic.ddos, traffic.access)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ sequence wins, i.e. ties are broken by the smallest next node id.
 Data-plane verdicts feed back into the control plane: a Block verdict is
 generalised to the packet's flow and installed as an ingress drop rule, so
 subsequent packets of that flow die at the edge without traversing the
-security chain.  Drop rules expire after an idle timeout; matching a rule
-(including matching it to drop a packet) refreshes the timer.  The
+security chain.  Drop rules lapse after an idle timeout; matching a rule
+(including matching it to drop a packet) refreshes the timer.  A lapsed
+rule matches nothing and stays stored until a reinstall replaces it.  The
 controller takes the ``ControllerSettings`` config section declared here.
 """
 
@@ -68,8 +69,7 @@ class Controller:
         self.topology = topology
         self.settings = settings
         self._idle_timeout_us = int(settings.drop_idle_timeout_s * 1_000_000)
-        # At most one rule per flow; a reinstall replaces it.  An idle rule
-        # leaves through ``expire_rule`` only.
+        # At most one rule per flow; a reinstall replaces it.
         self._rules: dict[Flow, FlowRule] = {}
         self._routes: dict[tuple[NodeId, NodeId], tuple[NodeId, ...]] = {}
         # (src, dst, hot link) -> route with that link penalised, None when
@@ -163,20 +163,6 @@ class Controller:
         self._rules[rule.key] = rule
         self.rules_installed += 1
         return rule
-
-    def expire_rule(self, rule: FlowRule, now_us: int) -> bool:
-        """Remove the rule if idle; returns True when it was dropped."""
-        stored = self._rules.get(rule.key)
-        if stored is not rule:
-            return False
-        if stored.expired(now_us):
-            del self._rules[rule.key]
-            return True
-        return False
-
-    def is_current(self, rule: FlowRule) -> bool:
-        """True while ``rule`` is the stored rule for its flow."""
-        return self._rules.get(rule.key) is rule
 
     def active_rule_count(self, now_us: int) -> int:
         return sum(1 for r in self._rules.values() if r.active(now_us))

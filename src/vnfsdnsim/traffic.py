@@ -20,7 +20,6 @@ from .engine import EventKind, SimEngine, SimTime, seconds
 from .model import (
     FRACTION,
     MAX_PACKET_BYTES,
-    NON_NEGATIVE,
     PACKET_SIZE,
     NodeId,
     Packet,
@@ -32,6 +31,10 @@ from .model import (
 
 PacketSink = Callable[[Packet], None]
 IdAllocator = Callable[[], int]
+
+#: ``require`` range of a rate in packets per second: off, or large enough
+#: that an exponential gap drawn from it stays finite.
+RATE = ("0 or at least 1e-6", lambda v: v == 0 or v >= 1e-6)
 
 
 @dataclass(frozen=True)
@@ -149,7 +152,7 @@ class BenignProfile:
     window: ActivityWindow = ActivityWindow()
 
     def __post_init__(self) -> None:
-        require(self, NON_NEGATIVE, "rate_pps")
+        require(self, RATE, "rate_pps")
         require(self, NAMED_ONCE, "sources")
         require(self, FRACTION, "request_fraction")
         text, legal = PACKET_SIZE
@@ -190,7 +193,7 @@ class DdosProfile:
     window: ActivityWindow = ActivityWindow()
 
     def __post_init__(self) -> None:
-        require(self, NON_NEGATIVE, "rate_multiplier", "base_rate_pps")
+        require(self, RATE, "rate_multiplier", "base_rate_pps")
         require(self, NAMED_ONCE, "attackers")
 
     @property
@@ -229,7 +232,7 @@ class AccessProfile:
     window: ActivityWindow = ActivityWindow()
 
     def __post_init__(self) -> None:
-        require(self, NON_NEGATIVE, "authorized_pps", "unauthorized_pps")
+        require(self, RATE, "authorized_pps", "unauthorized_pps")
         require(self, NAMED_ONCE, "sources")
 
     def streams(self, topology: Topology) -> list[PacketStream]:
@@ -275,11 +278,11 @@ def emit_stream(
 
     def emit(now: SimTime, _payload) -> None:
         # The request draw, when there is one, comes before the size draw.
-        is_request = request_fraction > 0.0 and rng.uniform() < request_fraction
+        request = request_fraction > 0.0 and rng.uniform() < request_fraction
         sink(
             Packet(
                 next_id(), src, dst, size.draw(rng), protocol, cls, tag, now, threat_kind,
-                origin, measured, is_request, response_size if is_request else 0,
+                origin, measured, response_size if request else 0,
             )
         )
         push_next()

@@ -393,7 +393,6 @@ def test_routing_oracle_and_rule_blackholing():
     controller = Controller(topology, ControllerSettings(drop_idle_timeout_s=0.2))
     ids = IdsVnf(IdsSettings(anomaly_window_s=1.0, anomaly_threshold_pps=2.0))
     sim = NetworkSim(topology, engine, controller, VnfChain([ids]), collect_trace=True)
-    sim.attach_traffic(2.0)
     send_times_ms = (0, 100, 200, 350, 500, 650, 1500)
     for i, t_ms in enumerate(send_times_ms):
         def fire(now, _p, pid=i):
@@ -404,7 +403,6 @@ def test_routing_oracle_and_rule_blackholing():
     trace = sim.trace
     delivered = [r for r in trace if r[0] == "deliver"]
     blocked = [r for r in trace if r[0] == "block"]
-    expired = [r for r in trace if r[0] == "rule_expire"]
     # burst packets 0 and 1 pass, 2 trips the rate check; 3..5 die on the
     # rule; the rule idles out; packet 6 passes the (now calm) chain
     assert [r[2].id for r in delivered] == [0, 1, 6]
@@ -414,7 +412,12 @@ def test_routing_oracle_and_rule_blackholing():
         (4, "ids_anomaly"),
         (5, "ids_anomaly"),
     ]
-    assert len(expired) == 1 and blocked[-1][1] < expired[0][1] < delivered[-1][1]
+    # the rule last matched packet 5 and lapsed 200 ms later, before packet 6
+    # reached the switch at 1_500_308
+    (rule,) = controller._rules.values()
+    lapsed_at = rule.last_match + 200_001
+    assert rule.last_match == blocked[-1][1] and lapsed_at < 1_500_308
+    assert not rule.active(lapsed_at) and rule.active(lapsed_at - 1)
     stamp("routing oracle + blackholing",
           f"{routed} routes matched exhaustive search; blocked flow resumed "
-          f"only after rule expiry at t={expired[0][1]}us")
+          f"only after its rule lapsed at t={lapsed_at}us")

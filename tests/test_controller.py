@@ -138,11 +138,10 @@ def test_idle_timeout_with_refresh_on_match():
     rule = controller.on_verdict(pkt, block(BlockReason.IDS_ANOMALY), now_us=0)
     assert controller.lookup(pkt, 10_000)[0] == "drop"  # boundary: exactly timeout
     assert controller.lookup(pkt, 19_000)[0] == "drop"  # refreshed at 10_000
-    assert not controller.expire_rule(rule, 25_000)  # 6 ms idle, keep
-    assert controller.expire_rule(rule, 29_001)  # > 10 ms idle, gone
-    assert not controller.is_current(rule)
-    assert controller.lookup(pkt, 30_000) == ("chain", None)
-    assert controller.active_rule_count(30_000) == 0
+    assert controller.active_rule_count(29_000) == 1  # boundary: exactly timeout
+    assert controller.active_rule_count(29_001) == 0  # > 10 ms idle, lapsed
+    assert controller.lookup(pkt, 29_001) == ("chain", None)
+    assert rule.last_match == 19_000  # a miss refreshes nothing
 
 
 def test_lookup_evicts_expired_rules():
@@ -152,11 +151,11 @@ def test_lookup_evicts_expired_rules():
     )
     pkt = flood_packet()
     rule = controller.on_verdict(pkt, block(BlockReason.IDS_ANOMALY), now_us=0)
-    # an expired rule no longer drops, though only its timeout removes it
+    # an expired rule no longer drops, though it stays stored until a
+    # reinstall replaces it
     assert controller.lookup(pkt, 500_000) == ("chain", None)
-    assert controller.is_current(rule)
-    assert controller.expire_rule(rule, 500_000)
-    assert controller.lookup(pkt, 500_000) == ("chain", None)
+    assert controller.active_rule_count(500_000) == 0
+    assert controller._rules == {pkt.flow: rule} and rule.last_match == 0
 
 
 def test_reinstall_replaces_prior_rule():
@@ -165,7 +164,8 @@ def test_reinstall_replaces_prior_rule():
     first = controller.on_verdict(pkt, block(BlockReason.IDS_ANOMALY), now_us=0)
     second = controller.on_verdict(pkt, block(BlockReason.IDS_SIGNATURE), now_us=100)
     assert controller.rules_installed == 2 and len(controller._rules) == 1
-    assert not controller.is_current(first) and controller.is_current(second)
+    assert controller._rules == {pkt.flow: second}
+    assert controller.lookup(pkt, 1100) == ("drop", second)  # installed at 100 + 1000
 
 
 def test_forward_verdict_installs_nothing():

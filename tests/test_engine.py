@@ -31,6 +31,17 @@ def test_events_dispatch_in_time_then_insertion_order():
     assert engine.now() == 100  # clock lands exactly on the horizon
 
 
+def test_pending_counts_queued_events_by_kind():
+    engine = SimEngine(1)
+    for t, kind in ((10, EventKind.PACKET_ARRIVAL), (20, EventKind.TRAFFIC_EMIT),
+                    (30, EventKind.PACKET_ARRIVAL)):
+        engine.schedule(t, kind, lambda t, p: None)
+    engine.run_until(15)
+    assert engine.pending() == 2
+    assert engine.pending(EventKind.PACKET_ARRIVAL) == 1
+    assert engine.pending(EventKind.MONITOR_SAMPLE) == 0
+
+
 def test_handler_may_schedule_followups_within_horizon():
     engine = SimEngine(1)
     fired = []
@@ -96,7 +107,7 @@ def test_event_hash_golden_value_across_flush_batches():
         return engine.event_hash()
 
     assert 12_000 > 2 * HASH_BATCH
-    assert run() == "951af0eae4939a656261b60d72971c06dd35e56505b4aae6822454a25d04701d"
+    assert run() == "d4ef19668c9df3a0d89377525bcc69593cbf6d4cbb0857914f9fecbfbd872a7f"
 
 
 def test_streams_must_be_registered_before_use():

@@ -1,8 +1,8 @@
 """Dataplane behaviour pinned against hand-computed store-and-forward
 timings: queueing, overflow, the departure-before-arrival tie rule on both
 queue paths, benign-first push-out, rule-enforced blackholing until idle
-expiry, detection timing, and conservation of packets between the live
-aggregator and an offline trace rollup.
+expiry, detection timing, the conservation check, and agreement between
+the live aggregator and an offline trace rollup.
 
 The default star wiring puts host0/host1 at ids 0/1, the switch at 2 and
 server0 at 3; access links run at 1 Gbps + 300 us, so a 1000-byte packet
@@ -65,7 +65,7 @@ def qos_profile():
 
 
 def inject_at(sim, t_us, pid, *, src=0, dst=None, size=1000, cls=PacketClass.BENIGN,
-              tag="gold", threat_kind=None, is_request=False, response_size=0,
+              tag="gold", threat_kind=None, response_size=0,
               measured=None):
     if dst is None:
         dst = sim.topology.by_name("server0").id
@@ -76,7 +76,7 @@ def inject_at(sim, t_us, pid, *, src=0, dst=None, size=1000, cls=PacketClass.BEN
         sim.inject(Packet(
             id=pid, src=src, dst=dst, size=size, protocol="tcp", cls=cls,
             tag=tag, created_at=now, threat_kind=threat_kind, measured=measured,
-            is_request=is_request, response_size=response_size,
+            response_size=response_size,
         ))
 
     sim.engine.schedule(t_us, EventKind.TRAFFIC_EMIT, fire)
@@ -96,7 +96,6 @@ def test_service_time_rounds_up_to_whole_microseconds():
 
 def test_single_packet_latency_is_the_sum_of_hops():
     sim = make_sim()
-    sim.attach_traffic(0.01)
     inject_at(sim, 0, pid=100)
     result = sim.run(0.01)
     # access: 8 us serialise + 300 us propagate; trunk: 80 + 800
@@ -112,7 +111,6 @@ def test_single_packet_latency_is_the_sum_of_hops():
 def test_a_last_hop_counts_when_it_arrives_by_the_horizon(qos, sent_at, delivered):
     sim = make_sim(vnfs=[qos_profile()] if qos else [])
     # the horizon is the 1188 us a packet sent at 0 needs to reach server0
-    sim.attach_traffic(0.001188)
     inject_at(sim, sent_at, pid=7)
     counters = sim.run(0.001188).report.counters
     assert [(r[2].id, r[1]) for r in recs(sim, "deliver")] == ([(7, 1188)] if delivered else [])
@@ -123,7 +121,6 @@ def test_a_last_hop_counts_when_it_arrives_by_the_horizon(qos, sent_at, delivere
 
 def test_fifo_queueing_delays_the_second_packet():
     sim = make_sim()
-    sim.attach_traffic(0.01)
     inject_at(sim, 0, pid=1)
     inject_at(sim, 0, pid=2)
     sim.run(0.01)
@@ -133,7 +130,6 @@ def test_fifo_queueing_delays_the_second_packet():
 
 def test_queue_overflow_tail_drops():
     sim = make_sim(trunk=SLOW_TRUNK)
-    sim.attach_traffic(0.05)
     for pid in range(10):
         inject_at(sim, 0, pid=pid)
     result = sim.run(0.05)
@@ -152,7 +148,6 @@ def test_a_departure_frees_its_slot_before_an_arrival_at_the_same_microsecond(
     qos, late_us, admitted
 ):
     sim = make_sim(trunk=SLOW_TRUNK, access=FAR_ACCESS, vnfs=[qos_profile()] if qos else [])
-    sim.attach_traffic(0.05)
     # host0's three packets reach the switch at 10_008, 10_016, 10_024: one
     # in trunk service until 18_008, two waiting, so the queue is full.
     for pid in range(3):
@@ -181,7 +176,6 @@ def test_occupancy_counts_a_departure_at_the_same_microsecond_as_gone(qos):
         sim.engine.schedule(
             t, EventKind.MONITOR_SAMPLE, lambda now, _: seen.setdefault(now, trunk.occupancy(now))
         )
-    sim.attach_traffic(0.05)
     # as above: packet 0 in trunk service until 18_008, packets 1 and 2 waiting
     for pid in range(3):
         inject_at(sim, 0, pid=pid)
@@ -201,7 +195,6 @@ def test_events_per_two_hop_packet(qos, packets, monkeypatch):
         schedule(time, kind, fn, payload)
 
     monkeypatch.setattr(sim.engine, "schedule", counting)
-    sim.attach_traffic(0.01)
     for pid in range(packets):
         inject_at(sim, 0, pid=pid)
     result = sim.run(0.01)
@@ -219,7 +212,6 @@ def test_events_per_two_hop_packet(qos, packets, monkeypatch):
 
 def test_benign_first_scheduling_pushes_out_queued_junk():
     sim = make_sim(trunk=SLOW_TRUNK, vnfs=[qos_profile()])
-    sim.attach_traffic(0.05)
     for i, t in enumerate((0, 10, 20)):
         inject_at(sim, t, pid=i, cls=PacketClass.THREAT, tag="junk",
                   threat_kind=ThreatKind.UDP_FLOOD)
@@ -234,7 +226,6 @@ def test_benign_first_scheduling_pushes_out_queued_junk():
 
 def test_without_priority_the_late_benign_packet_drops():
     sim = make_sim(trunk=SLOW_TRUNK)
-    sim.attach_traffic(0.05)
     for i, t in enumerate((0, 10, 20)):
         inject_at(sim, t, pid=i, cls=PacketClass.THREAT, tag="junk",
                   threat_kind=ThreatKind.UDP_FLOOD)
@@ -254,33 +245,33 @@ def test_blocked_flow_delivers_nothing_until_rule_expiry():
         vnfs=[FilterVnf(policy=GOLD_ONLY)],
         ctrl=ControllerSettings(drop_idle_timeout_s=0.05),  # install delay stays 1000 us
     )
-    sim.attach_traffic(0.25)
-    for i, t_ms in enumerate((0, 10, 20, 30, 40, 200)):
-        inject_at(sim, t_ms * 1000, pid=i, tag="evil")
+    for i, t_us in enumerate((0, 10_000, 20_000, 30_000, 40_000, 90_001)):
+        inject_at(sim, t_us, pid=i, tag="evil")
     result = sim.run(0.25)
 
     assert recs(sim, "deliver") == []
     # first packet is judged by the chain; the drop rule (live from 1308)
-    # consumes the next four; the long gap expires it, so packet 5 is
-    # judged by the chain again and installs a second rule.
+    # consumes the next four.  Its last match at 40_308 plus the 50_000 us
+    # timeout keeps it live until 90_308, so packet 5, at the switch one us
+    # later, is judged by the chain again and installs a second rule.
     assert [(r[1], r[3]) for r in recs(sim, "block")] == [
         (308, "block:policy_mismatch"),
         (10_308, "policy_mismatch"),
         (20_308, "policy_mismatch"),
         (30_308, "policy_mismatch"),
         (40_308, "policy_mismatch"),
-        (200_308, "block:policy_mismatch"),
+        (90_309, "block:policy_mismatch"),
     ]
-    assert len(recs(sim, "rule_install")) == 2
+    assert [r[1] for r in recs(sim, "rule_install")] == [308, 90_309]
     assert result.rules_installed == 2
-    # idle check: last match 40_308 + 50_000 us timeout, probed one us later
-    assert [r[1] for r in recs(sim, "rule_expire")] == [90_309]
+    # the idle rule stayed stored until the second one replaced it
+    (rule,) = sim.controller._rules.values()
+    assert rule.installed_at == 91_309
     assert result.report.counters.blocked_packets == 6
 
 
 def test_detection_clock_starts_at_first_threat_emission():
     sim = make_sim(vnfs=[IdsVnf(IdsSettings(signatures=frozenset({ThreatKind.SYN_FLOOD})))])
-    sim.attach_traffic(0.01)
     inject_at(sim, 0, pid=1, cls=PacketClass.THREAT, tag="syn",
               threat_kind=ThreatKind.SYN_FLOOD)
     result = sim.run(0.01)
@@ -294,7 +285,6 @@ def test_detection_clock_starts_at_first_threat_emission():
 def test_anomaly_detection_latency_spans_the_undetected_prefix():
     ids = IdsVnf(IdsSettings(anomaly_window_s=1.0, anomaly_threshold_pps=2.0))
     sim = make_sim(vnfs=[ids])
-    sim.attach_traffic(0.1)
     for i, t_ms in enumerate((0, 10, 20)):
         inject_at(sim, t_ms * 1000, pid=i, cls=PacketClass.THREAT, tag="syn",
                   threat_kind=ThreatKind.SYN_FLOOD)
@@ -313,7 +303,6 @@ def test_profile_reporting_delay_defers_rule_activation():
         SimEngine(1).register_stream("p"),
     )
     sim = make_sim(vnfs=[profile])
-    sim.attach_traffic(0.01)
     inject_at(sim, 0, pid=1, cls=PacketClass.THREAT, tag="syn",
               threat_kind=ThreatKind.SYN_FLOOD)
     sim.run(0.01)
@@ -323,8 +312,7 @@ def test_profile_reporting_delay_defers_rule_activation():
 
 def test_request_generates_an_unmeasured_response_and_an_rtt():
     sim = make_sim()
-    sim.attach_traffic(0.01)
-    inject_at(sim, 0, pid=50, size=1000, is_request=True, response_size=500)
+    inject_at(sim, 0, pid=50, size=1000, response_size=500)
     result = sim.run(0.01)
     delivered = recs(sim, "deliver")
     assert len(delivered) == 2
@@ -338,20 +326,28 @@ def test_request_generates_an_unmeasured_response_and_an_rtt():
     assert result.report.benign_sent == 1  # the response is not a user packet
 
 
-def test_run_guards_against_mismatched_horizons():
+def test_a_delivery_without_its_record_fails_the_conservation_check():
     sim = make_sim()
-    with pytest.raises(RuntimeError):
+    fold, lost = sim._rec_deliver, []
+
+    def lose_the_first(t, packet):
+        if lost:
+            fold(t, packet)
+        else:
+            lost.append(packet)
+
+    sim._rec_deliver = lose_the_first
+    inject_at(sim, 0, pid=1)
+    inject_at(sim, 0, pid=2)
+    with pytest.raises(RuntimeError, match="1 in flight, 0 held"):
         sim.run(0.01)
-    sim.attach_traffic(0.01)
-    with pytest.raises(ValueError):
-        sim.run(0.02)
+    assert [p.id for p in lost] == [1]
 
 
 def test_a_run_without_traffic_reports_undefined_ratios():
     # the first monitor tick would fall at the end of a 1 s run, so the
     # aggregator is fed no record at all
     sim = make_sim()
-    sim.attach_traffic(1.0)
     report = sim.run(1.0).report
     assert sim.trace == [] and report.counters.total_packets == 0
     for value in (report.secure_traffic_pct, report.tdr, report.ubr, report.access_outcome,
@@ -370,7 +366,7 @@ def test_live_totals_are_conserved_and_match_an_offline_rollup():
         topology, engine, Controller(topology), VnfChain([FilterVnf(policy=GOLD_ONLY)]),
         collect_trace=True,
     )
-    sim.attach_traffic(
+    result = sim.run(
         2.0,
         benign=[BenignProfile(name="web", sources="all_hosts", dst="server0",
                               rate_pps=100.0, size=SizeDist(200, 1200), tag="gold",
@@ -379,7 +375,6 @@ def test_live_totals_are_conserved_and_match_an_offline_rollup():
                           tag="attack", attackers=("host2", "host3"),
                           rate_multiplier=30.0, base_rate_pps=10.0)],
     )
-    result = sim.run(2.0)
     c = result.report.counters
     c.check()
     assert c.total_packets == len(recs(sim, "emit"))

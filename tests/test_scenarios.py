@@ -656,6 +656,10 @@ def test_cli_run_usage_errors(tmp_path):
     (3, "traffic.benign.0.response_size=10", "traffic.benign.0.response_size"),
     (5, "traffic.ddos.0.rate_multiplier=-1", "traffic.ddos.0.rate_multiplier"),
     (5, "traffic.ddos.0.base_rate_pps=-1", "traffic.ddos.0.base_rate_pps"),
+    # a rate so small that an exponential gap drawn from it overflows
+    (5, "traffic.benign.0.rate_pps=5e-324", "traffic.benign.0.rate_pps"),
+    (5, "traffic.ddos.0.base_rate_pps=1e-160", "traffic.ddos.0.base_rate_pps"),
+    (5, "traffic.access.0.unauthorized_pps=1e-7", "traffic.access.0.unauthorized_pps"),
     (5, "traffic.access.0.authorized_pps=-1", "traffic.access.0.authorized_pps"),
     (5, "traffic.access.0.unauthorized_pps=-1", "traffic.access.0.unauthorized_pps"),
     # a repeated node name would run two streams off one random stream
@@ -665,6 +669,14 @@ def test_cli_run_usage_errors(tmp_path):
     (5, 'traffic.benign.1.sources=["host0","server0"]', "traffic.benign.1.sources"),
     (5, 'traffic.benign.0.sources="all_hosts"', "traffic.benign.0.sources"),  # dst host9
     (5, 'traffic.ddos.0.attackers=["host9"]', "traffic.ddos.0.attackers"),  # the target
+    # traffic runs between hosts and servers, never from or to the switch
+    # or the controller
+    (5, "traffic.benign.0.dst=switch0", "traffic.benign.0.dst"),
+    (5, 'traffic.benign.1.sources=["host0","switch0"]', "traffic.benign.1.sources.1"),
+    (5, "traffic.ddos.0.target=controller", "traffic.ddos.0.target"),
+    (5, 'traffic.ddos.0.attackers=["controller"]', "traffic.ddos.0.attackers.0"),
+    (5, "traffic.access.0.dst=switch0", "traffic.access.0.dst"),
+    (5, 'traffic.access.0.sources=["switch0"]', "traffic.access.0.sources.0"),
     # topology keys out of range
     (5, "topology.hosts=0", "topology.hosts"),
     (5, "topology.servers=0", "topology.servers"),
