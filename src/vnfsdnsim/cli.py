@@ -20,7 +20,6 @@ from .scenarios import (
     MissingMetric,
     UnsupportedVersion,
     capture_dump,
-    check_formats,
     compare_to_targets,
     emit_results,
     load_results,
@@ -42,12 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", metavar="FILE", help="configuration file (default: shipped)")
     run.add_argument("--seed", type=int, help="override the configured seed")
     run.add_argument("--out", metavar="DIR", help="output directory (default: $VNFSDNSIM_OUT or ./results)")
-    run.add_argument(
-        "--format",
-        default="csv,records",
-        metavar="csv|records",
-        help="comma-separated output formats (default: both)",
-    )
     run.add_argument(
         "--set",
         dest="overrides",
@@ -112,8 +105,6 @@ def _fmt(value, spec: str = ".3f") -> str:
 
 
 def _cmd_run(args) -> int:
-    formats = tuple(part.strip() for part in args.format.split(",") if part.strip())
-    check_formats(formats)  # before the run, not after it
     tree = config.load_tree(args.config) if args.config else config.default_config(args.scenario)
     overrides = list(args.overrides)
     if args.seed is not None:
@@ -125,7 +116,7 @@ def _cmd_run(args) -> int:
     out = _out_dir(args.out)
 
     result = run_scenario(args.scenario, cfg, out_dir=out, targets=targets)
-    paths = emit_results(result, out, formats)
+    paths = emit_results(result, out)
 
     if not args.quiet:
         print(f"scenario {result.scenario} seed {result.seed} "

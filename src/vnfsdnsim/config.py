@@ -25,7 +25,7 @@ from types import UnionType
 from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 from .model import (
-    POSITIVE,
+    SPAN,
     NodeKind,
     RangeError,
     SecurityPolicy,
@@ -115,7 +115,7 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         require(self, SCENARIO, "scenario")
-        require(self, POSITIVE, "duration_s", "window_s", "monitor_interval_s")
+        require(self, SPAN, "duration_s", "window_s", "monitor_interval_s")
 
     def digest(self) -> str:
         """Hex digest of the canonical configuration tree."""

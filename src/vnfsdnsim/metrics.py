@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .engine import US_PER_S
+from .engine import US_PER_S, seconds
 from .model import Packet, PacketClass
 
 # ----------------------------------------------------------------------
@@ -35,7 +35,7 @@ class NonPositiveIntegrand(Exception):
 
 
 class EmptyTrace(Exception):
-    """A KPI rollup over an empty trace is undefined."""
+    """A KPI rollup over an empty trace, with no horizon given, is undefined."""
 
 
 # ----------------------------------------------------------------------
@@ -327,10 +327,10 @@ class WindowAggregator:
     """
 
     def __init__(self, window_s: float = 1.0, *, memory_base_mb: float = 64.0):
-        if window_s <= 0:
-            raise ValueError(f"window length must be positive, got {window_s}")
         self.window_s = window_s
-        self.window_us = int(window_s * US_PER_S)
+        self.window_us = seconds(window_s)
+        if self.window_us < 1:
+            raise ValueError(f"window length must be at least 1e-6 s, got {window_s}")
         self.memory_base_mb = memory_base_mb
         self._benign_weight = CLASS_WEIGHTS[PacketClass.BENIGN]
         self._threat_weight = CLASS_WEIGHTS[PacketClass.THREAT]
@@ -559,9 +559,10 @@ def kpi_rollup(
     devices_total: int = 0,
     **aggregator_kwargs,
 ) -> KpiReport:
-    """Fold a collected trace into a KPI report (see WindowAggregator)."""
-    if not trace:
-        raise EmptyTrace("cannot roll up an empty trace")
+    """Fold a collected trace into a KPI report (see WindowAggregator); without
+    ``duration_us``, the horizon ends with the last record's window."""
+    if not trace and duration_us is None:
+        raise EmptyTrace("cannot roll up an empty trace without duration_us")
     agg = WindowAggregator(window_s, **aggregator_kwargs)
     last_t = 0
     for rec in trace:

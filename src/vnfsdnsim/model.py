@@ -1,14 +1,15 @@
 """Domain model: nodes, links, packets, policies and topology construction.
 
-Node identifiers are dense integers assigned in declaration order, which
-keeps route tie-breaking and output ordering stable across runs.
+Node identifiers are dense integers assigned in declaration order (a star's
+hosts, then its switch, then its servers), which keeps route tie-breaking
+and output ordering stable across runs.  The controller is not a node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Literal
+from typing import Callable
 
 NodeId = int
 #: A flow's identity: source, destination and traffic tag.
@@ -27,6 +28,8 @@ class RangeError(ValueError):
 POSITIVE = ("positive", lambda v: v > 0)
 NON_NEGATIVE = ("at least 0", lambda v: v >= 0)
 FRACTION = ("in [0, 1]", lambda v: 0 <= v <= 1)
+# A time span in seconds that lasts at least one tick of the microsecond clock.
+SPAN = ("at least 1e-6", lambda v: v >= 1e-6)
 PACKET_SIZE = (
     f"in [{MIN_PACKET_BYTES}, {MAX_PACKET_BYTES}]",
     lambda v: MIN_PACKET_BYTES <= v <= MAX_PACKET_BYTES,
@@ -46,7 +49,6 @@ class NodeKind(Enum):
     UE_HOST = "ue_host"
     SWITCH = "switch"
     SERVER = "server"
-    CONTROLLER = "controller"
 
 
 @dataclass(frozen=True)
@@ -202,7 +204,6 @@ class LinkParams:
 
 DEFAULT_ACCESS = LinkParams(latency_us=300, bandwidth_bps=1_000_000_000, queue_capacity=2048)
 DEFAULT_TRUNK = LinkParams(latency_us=800, bandwidth_bps=100_000_000, queue_capacity=128)
-DEFAULT_CONTROL = LinkParams(latency_us=200, bandwidth_bps=1_000_000_000, queue_capacity=256)
 
 
 @dataclass(frozen=True)
@@ -218,9 +219,7 @@ class StarSpec:
     servers: int = 1
     access: LinkParams = DEFAULT_ACCESS
     trunk: LinkParams = DEFAULT_TRUNK
-    control: LinkParams = DEFAULT_CONTROL
     per_host_access: dict[int, LinkParams] = field(default_factory=dict)
-    kind: Literal["star"] = "star"
 
     def __post_init__(self) -> None:
         require(self, POSITIVE, "hosts", "servers")
@@ -236,10 +235,8 @@ def build_topology(spec: StarSpec) -> Topology:
     switch = Node(spec.hosts, NodeKind.SWITCH, "switch0")
     first = spec.hosts + 1
     servers = [Node(first + j, NodeKind.SERVER, f"server{j}") for j in range(spec.servers)]
-    controller = Node(first + spec.servers, NodeKind.CONTROLLER, "controller")
     links = [link(h.id, switch.id, spec.per_host_access.get(h.id, spec.access)) for h in hosts]
     links += [link(switch.id, server.id, spec.trunk) for server in servers]
-    links.append(link(switch.id, controller.id, spec.control))
-    return Topology([*hosts, switch, *servers, controller], links)
+    return Topology([*hosts, switch, *servers], links)
 
 

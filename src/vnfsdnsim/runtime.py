@@ -42,8 +42,10 @@ The run checks that the counts match.
 The switch is the enforcement point — on arrival a packet is resolved
 against the flow table first (an active drop rule consumes it with no
 further cost) and otherwise walked through the security-function chain,
-whose verdict is reported back to the controller.  A drop rule that has
-gone idle matches nothing; no event removes it.
+whose verdict is reported back to the controller over no link: the drop
+rule it installs takes effect after the controller's install delay plus
+any reporting delay of the detecting profile.  A drop rule that has gone
+idle matches nothing; no event removes it.
 
 The runtime emits a flat stream of trace records that the window
 aggregator folds into KPIs; the hot packet records go straight to the
@@ -171,7 +173,6 @@ def service_time_us(size_bytes: int, bandwidth_bps: int) -> int:
 class RunResult:
     """Everything a finished run reports."""
 
-    label: str
     seed: int
     duration_s: float
     report: KpiReport
@@ -197,7 +198,6 @@ class NetworkSim:
         monitor_interval_s: float = 1.0,
         memory_base_mb: float = 64.0,
         collect_trace: bool = False,
-        label: str = "run",
     ):
         self.topology = topology
         self.engine = engine
@@ -212,7 +212,6 @@ class NetworkSim:
         # Detections made by a mitigation profile reach the controller only
         # after the profile's own reporting delay.
         self._report_delay_us = max((p.detection_delay_us for p in profiles), default=0)
-        self.label = label
         self.aggregator = WindowAggregator(window_s, memory_base_mb=memory_base_mb)
         self.trace: list[tuple] | None = [] if collect_trace else None
         # The per-packet records skip the tuple and ``feed``'s dispatch.
@@ -224,9 +223,7 @@ class NetworkSim:
 
         queue = QosQueue if self.qos_priority else FifoQueue
         self._queues: dict[tuple[NodeId, NodeId], FifoQueue | QosQueue] = {}
-        self._links: dict[frozenset[NodeId], Link] = {}
         for link in topology.links:
-            self._links[frozenset((link.a, link.b))] = link
             self._queues[(link.a, link.b)] = queue(link)
             self._queues[(link.b, link.a)] = queue(link)
 
@@ -405,8 +402,8 @@ class NetworkSim:
 
     def _on_monitor_tick(self, t: SimTime, _payload) -> None:
         self._record(("mem", t, self._memory_mb(t)))
-        for key, link in self._links.items():
-            a, b = tuple(key)
+        for link in self.topology.links:
+            a, b = link.a, link.b
             occupancy = max(
                 self._queues[(a, b)].occupancy(t), self._queues[(b, a)].occupancy(t)
             )
@@ -454,7 +451,6 @@ class NetworkSim:
         if self.capture is not None and self.capture.monitoring:
             self.capture.stop_and_save()
         return RunResult(
-            label=self.label,
             seed=self.engine.seed,
             duration_s=duration_s,
             report=report,

@@ -143,7 +143,6 @@ def run_one(
         window_s=cfg.window_s,
         monitor_interval_s=cfg.monitor_interval_s,
         memory_base_mb=cfg.memory_base_mb,
-        label=label,
     )
     traffic = cfg.traffic
     return sim.run(cfg.duration_s, traffic.benign, traffic.ddos, traffic.access)
@@ -520,62 +519,40 @@ def _write_csv(path: Path, header, rows) -> Path:
     return path
 
 
-#: The result file formats ``emit_results`` writes.
-OUTPUT_FORMATS = ("csv", "records")
-
-
-def check_formats(formats: tuple[str, ...]) -> None:
-    """Raise a ConfigError unless ``formats`` is a non-empty choice of OUTPUT_FORMATS."""
-    if not formats:
-        raise ConfigError("at least one output format is required")
-    for fmt in formats:
-        if fmt not in OUTPUT_FORMATS:
-            raise ConfigError(f"unknown output format {fmt!r} (choose from {OUTPUT_FORMATS})")
-
-
-def emit_results(
-    result: ScenarioResult,
-    out_dir: str | Path,
-    formats: tuple[str, ...] = OUTPUT_FORMATS,
-) -> list[Path]:
-    """Write result files under ``out_dir``; returns the paths written."""
-    check_formats(formats)
+def emit_results(result: ScenarioResult, out_dir: str | Path) -> list[Path]:
+    """Write every result file under ``out_dir``; returns the paths written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths: list[Path] = []
 
-    if "csv" in formats:
-        header = [col for col, _ in _WINDOW_COLUMNS]
-        for row in result.rows:
-            objs = map(_window_object, row.result.report.windows)
-            path = out / f"s{result.scenario}_{row.label}_{result.seed}.csv"
-            paths.append(_write_csv(path, header, _cells(objs, header)))
-        header = [col for col, _, _ in _SUMMARY_COLUMNS]
-        objs = (_summary_object(result.scenario, row) for row in result.rows)
-        path = out / f"s{result.scenario}_summary_{result.seed}.csv"
+    header = [col for col, _ in _WINDOW_COLUMNS]
+    for row in result.rows:
+        objs = map(_window_object, row.result.report.windows)
+        path = out / f"s{result.scenario}_{row.label}_{result.seed}.csv"
         paths.append(_write_csv(path, header, _cells(objs, header)))
-        paths.extend(_emit_plotdata(result, out))
+    header = [col for col, _, _ in _SUMMARY_COLUMNS]
+    objs = (_summary_object(result.scenario, row) for row in result.rows)
+    path = out / f"s{result.scenario}_summary_{result.seed}.csv"
+    paths.append(_write_csv(path, header, _cells(objs, header)))
+    paths.extend(_emit_plotdata(result, out))
 
-    if "records" in formats:
-        for row in result.rows:
-            path = out / f"s{result.scenario}_{row.label}_{result.seed}.ndrec"
-            header = {
-                "kind": "header",
-                "format_version": 1,
-                "generated_unix_ms": int(time.time() * 1000),
-                "scenario": result.scenario,
-                "config": row.label,
-                "config_digest": result.config_digest,
-                "seed": result.seed,
-            }
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(json.dumps(header, **NDREC_JSON) + "\n")
-                for w in row.result.report.windows:
-                    fh.write(json.dumps(_window_object(w), **NDREC_JSON) + "\n")
-                fh.write(
-                    json.dumps(_summary_object(result.scenario, row), **NDREC_JSON) + "\n"
-                )
-            paths.append(path)
+    for row in result.rows:
+        path = out / f"s{result.scenario}_{row.label}_{result.seed}.ndrec"
+        header = {
+            "kind": "header",
+            "format_version": 1,
+            "generated_unix_ms": int(time.time() * 1000),
+            "scenario": result.scenario,
+            "config": row.label,
+            "config_digest": result.config_digest,
+            "seed": result.seed,
+        }
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(json.dumps(header, **NDREC_JSON) + "\n")
+            for w in row.result.report.windows:
+                fh.write(json.dumps(_window_object(w), **NDREC_JSON) + "\n")
+            fh.write(json.dumps(_summary_object(result.scenario, row), **NDREC_JSON) + "\n")
+        paths.append(path)
 
     return paths
 
@@ -701,9 +678,7 @@ def load_results(out_dir: str | Path) -> list[ScenarioResult]:
                     windows=_read_windows(window_path) if window_path.exists() else [],
                     **values[KpiReport],
                 )
-                rows.append(
-                    RunRow(label, int(rec["hosts"]), RunResult(label=label, report=report, **run))
-                )
+                rows.append(RunRow(label, int(rec["hosts"]), RunResult(report=report, **run)))
         duration = max((r.result.duration_s for r in rows), default=0.0)
         results.append(
             ScenarioResult(

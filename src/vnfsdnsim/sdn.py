@@ -18,8 +18,14 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
+from .engine import seconds
 from .model import NON_NEGATIVE, POSITIVE, Flow, NodeId, Packet, Topology, require
 from .vnf import Verdict
+
+#: A link is congested when its busier direction holds more than this share
+#: of its queue capacity; routes then see its latency scaled by the penalty.
+CONGESTION_THRESHOLD = 0.8
+CONGESTION_PENALTY = 10.0
 
 
 class NoPath(Exception):
@@ -32,13 +38,10 @@ class ControllerSettings:
 
     install_delay_us: int = 1000
     drop_idle_timeout_s: float = 30.0
-    congestion_threshold: float = 0.8
-    congestion_penalty: float = 10.0
 
     def __post_init__(self) -> None:
         require(self, NON_NEGATIVE, "install_delay_us")
         require(self, POSITIVE, "drop_idle_timeout_s")
-        require(self, ("in (0, 1]", lambda v: 0 < v <= 1), "congestion_threshold")
 
 
 @dataclass
@@ -68,7 +71,7 @@ class Controller:
     ):
         self.topology = topology
         self.settings = settings
-        self._idle_timeout_us = int(settings.drop_idle_timeout_s * 1_000_000)
+        self._idle_timeout_us = seconds(settings.drop_idle_timeout_s)
         # At most one rule per flow; a reinstall replaces it.
         self._rules: dict[Flow, FlowRule] = {}
         self._routes: dict[tuple[NodeId, NodeId], tuple[NodeId, ...]] = {}
@@ -180,10 +183,10 @@ class Controller:
         penalty.  Flows with no alternative keep their route.  Returns the
         (src, dst, new_path) triples that actually moved.
         """
-        if occupancy <= self.settings.congestion_threshold:
+        if occupancy <= CONGESTION_THRESHOLD:
             return []
         hot = frozenset(link_nodes)
-        penalty = {hot: self.settings.congestion_penalty}
+        penalty = {hot: CONGESTION_PENALTY}
         moved = []
         for (src, dst), path in list(self._routes.items()):
             if not _path_uses(path, hot):

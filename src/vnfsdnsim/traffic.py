@@ -20,7 +20,9 @@ from .engine import EventKind, SimEngine, SimTime, seconds
 from .model import (
     FRACTION,
     MAX_PACKET_BYTES,
+    NON_NEGATIVE,
     PACKET_SIZE,
+    POSITIVE,
     NodeId,
     Packet,
     PacketClass,
@@ -53,7 +55,9 @@ class ActivityWindow:
     burst_on_s: float | None = None
 
     def __post_init__(self) -> None:
+        require(self, NON_NEGATIVE, "start_s")
         if self.burst_period_s is not None:
+            require(self, POSITIVE, "burst_period_s")
             in_cycle = (f"in (0, {self.burst_period_s}]",
                         lambda on: on is not None and 0 < on <= self.burst_period_s)
             require(self, in_cycle, "burst_on_s")

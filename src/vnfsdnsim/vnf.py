@@ -29,11 +29,12 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Literal
 
-from .engine import RngStream
+from .engine import RngStream, seconds
 from .model import (
     FRACTION,
     NON_NEGATIVE,
     POSITIVE,
+    SPAN,
     Flow,
     Packet,
     PacketClass,
@@ -157,7 +158,8 @@ class IdsSettings:
     anomaly_threshold_pps: float = 1000.0
 
     def __post_init__(self) -> None:
-        require(self, POSITIVE, "anomaly_window_s", "anomaly_threshold_pps")
+        require(self, SPAN, "anomaly_window_s")
+        require(self, POSITIVE, "anomaly_threshold_pps")
 
 
 @dataclass
@@ -175,7 +177,7 @@ class IdsVnf:
     cost_us = 5
 
     def __post_init__(self) -> None:
-        self._window_us = int(self.settings.anomaly_window_s * 1_000_000)
+        self._window_us = seconds(self.settings.anomaly_window_s)
 
     def check(self, packet: Packet, now_us: int) -> Verdict:
         settings = self.settings

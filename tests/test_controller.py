@@ -46,10 +46,10 @@ def enumerate_paths(topology, src, dst):
 
 
 def diamond():
-    """Two parallel branches plus a control stub: 0-1-3 cheap, 0-2-3 dear."""
+    """Two parallel branches plus a stub: 0-1-3 cheap, 0-2-3 dear."""
     names = ("a", "b", "c", "d")
     nodes = [Node(i, NodeKind.SWITCH, name) for i, name in enumerate(names)]
-    nodes.append(Node(4, NodeKind.CONTROLLER, "ctl"))
+    nodes.append(Node(4, NodeKind.UE_HOST, "stub"))
     links = [
         Link(a, b, lat, 1_000_000, 16)
         for a, b, lat in ((0, 1, 10), (1, 3, 10), (0, 2, 15), (2, 3, 15), (0, 4, 200))
@@ -98,8 +98,6 @@ def test_route_rejects_degenerate_queries():
         controller.compute_route(0, 3)
     with pytest.raises(ValueError):
         controller.compute_route(1, 1)
-    with pytest.raises(ValueError):
-        ControllerSettings(congestion_threshold=0.0)
 
 
 def test_block_verdict_installs_delayed_drop_rule():
@@ -168,6 +166,16 @@ def test_reinstall_replaces_prior_rule():
     assert controller.lookup(pkt, 1100) == ("drop", second)  # installed at 100 + 1000
 
 
+def test_idle_timeout_rounds_to_the_nearest_microsecond():
+    # 2.01 s is 2009999.9999999998 us in binary floating point
+    settings = ControllerSettings(install_delay_us=0, drop_idle_timeout_s=2.01)
+    controller = Controller(build_topology(StarSpec(hosts=2)), settings)
+    rule = controller.on_verdict(flood_packet(), block(BlockReason.IDS_SIGNATURE), now_us=0)
+    assert rule.idle_timeout_us == 2_010_000
+    assert rule.active(rule.last_match + 2_010_000)
+    assert not rule.active(rule.last_match + 2_010_001)
+
+
 def test_forward_verdict_installs_nothing():
     controller = Controller(build_topology(StarSpec(hosts=2)))
     pkt = flood_packet(src=0, dst=3)
@@ -177,8 +185,7 @@ def test_forward_verdict_installs_nothing():
 
 
 def test_congestion_moves_flows_off_the_hot_link():
-    settings = ControllerSettings(congestion_threshold=0.8, congestion_penalty=10.0)
-    controller = Controller(diamond(), settings)
+    controller = Controller(diamond())
     assert controller.route(0, 3) == (0, 1, 3)
     assert controller.handle_congestion((0, 1), occupancy=0.5) == []
     moved = controller.handle_congestion((0, 1), occupancy=0.9)

@@ -23,14 +23,13 @@ def test_star_topology_counts_and_names():
     hosts = topo.by_kind(NodeKind.UE_HOST)
     servers = topo.by_kind(NodeKind.SERVER)
     switches = topo.by_kind(NodeKind.SWITCH)
-    controllers = topo.by_kind(NodeKind.CONTROLLER)
-    assert [len(hosts), len(servers), len(switches), len(controllers)] == [4, 2, 1, 1]
-    # one access link per host, one per server, one control link
-    assert len(topo.links) == 4 + 2 + 1
+    assert [len(hosts), len(servers), len(switches)] == [4, 2, 1]
+    # one access link per host, one trunk per server
+    assert len(topo.links) == 4 + 2
     assert topo.by_name("host0").kind is NodeKind.UE_HOST
     assert topo.by_name("server1").kind is NodeKind.SERVER
     assert topo.by_name("switch0").kind is NodeKind.SWITCH
-    assert [n.id for n in topo.nodes] == list(range(4 + 1 + 2 + 1))
+    assert [n.id for n in topo.nodes] == list(range(4 + 1 + 2))
 
 
 def test_star_per_host_access_override():

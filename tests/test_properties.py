@@ -5,9 +5,11 @@ simulated seconds, random link capacities, benign, DDoS and access
 profiles with random rates, and two or more security labels.  Every cell
 must pass the runtime's packet-conservation check, its collected trace
 must roll up to the live report, and every label must be offered the same
-packets.
+packets.  A rerun of a cell must repeat it exactly, and a scenario's
+emitted files must read back to the result they were written from.
 """
 
+import tempfile
 from functools import partial
 
 import pytest
@@ -20,6 +22,7 @@ from vnfsdnsim.engine import seconds
 from vnfsdnsim.metrics import kpi_rollup
 from vnfsdnsim.model import ThreatKind
 from vnfsdnsim.runtime import NetworkSim
+from vnfsdnsim.scenarios import _result_object, emit_results, load_results
 
 # profile-q runs the benign-first queues
 LABELS = (*KNOWN_LABELS, "profile-p", "profile-q")
@@ -114,3 +117,23 @@ def test_every_cell_conserves_packets_rolls_up_and_sees_the_same_offer(tree):
             offers[label] = offered(result.trace)
     first, *others = offers.values()
     assert all(offer == first for offer in others)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(star_configs())
+def test_every_cell_reruns_alike_and_its_files_read_back(tree):
+    cfg = from_dict(tree)
+    result = scenarios.run_scenario(1, cfg)
+    first = result.rows[0]
+    again = scenarios.run_one(cfg, first.label)
+    assert (again.report, again.event_hash, again.events_processed) == (
+        first.result.report, first.result.event_hash, first.result.events_processed)
+    with tempfile.TemporaryDirectory() as out:
+        emit_results(result, out)
+        (loaded,) = load_results(out)
+    # the CSV files carry every summary and window column but the digest
+    want, got = _result_object(result), _result_object(loaded)
+    assert got.pop("config_digest") == ""
+    want.pop("config_digest")
+    assert got == want

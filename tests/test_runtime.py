@@ -354,6 +354,8 @@ def test_a_run_without_traffic_reports_undefined_ratios():
                   report.mean_latency_ms, report.availability_pct):
         assert value is None
     assert len(report.windows) == 1 and report.reliability == 1.0
+    # given the horizon, the empty trace rolls up to the same report
+    assert kpi_rollup([], 1.0, duration_us=1_000_000, devices_total=3) == report
 
 
 def test_live_totals_are_conserved_and_match_an_offline_rollup():

@@ -159,9 +159,9 @@ def test_from_dict_rejects_malformed_trees():
 
 
 def test_from_dict_rejects_non_positive_monitor_interval():
-    # a zero interval reschedules the monitor tick at the same instant
-    # forever, so this is checked on the tree and never run
-    for value in (0, -1):
+    # an interval that rounds to 0 us reschedules the monitor tick at the
+    # same instant forever, so this is checked on the tree and never run
+    for value in (0, -1, 1e-9):
         tree = apply_overrides(default_config(1), [f"monitor_interval_s={value}"])
         with pytest.raises(ConfigError, match="monitor_interval_s"):
             from_dict(tree)
@@ -193,7 +193,7 @@ def test_every_misspelled_key_is_named():
     assert ("topology", "trunk", "bandwidth_bps") in paths
     assert ("traffic", "ddos", 0, "window", "burst_on_s") in paths
     assert ("sweep", "hosts") in paths and ("monitor_interval_s",) in paths
-    assert len(paths) == len(set(paths)) > 100
+    assert len(paths) == len(set(paths)) == 99
     base = default_config(5)
     from_dict(base)
     for path in paths:
@@ -213,14 +213,15 @@ def test_every_misspelled_key_is_named():
 
 
 def test_shipped_config_digests_are_pinned():
-    # recorded before the defaults moved from Python literals to package data
+    # re-recorded when the trees lost the keys no run reads (the control
+    # link, topology.kind and the congestion knobs)
     assert {n: from_dict(default_config(n)).digest() for n in range(1, 7)} == {
-        1: "0c743f1dbe416a838b3d1b993f0c4a4d8dc957ff6b83ab9e99167f541882991b",
-        2: "ab217d2d2f6ffa1abbe31e8bcba7b7557879f5537c7513411af92d46f1a620a5",
-        3: "897a7d9007383e20b20ad23fa9ee71c7b8d511472276a72aa878c4ca16f8c7f5",
-        4: "8bda217f71d2c259159efc414d46ae85743d3ac4e6897b8bada983cd831ce6ed",
-        5: "c075fed788e0c50348cab086577e0a613eb3f4caf94a61ed2652347bf294dc09",
-        6: "02c7c6c3fffc5afd799aa7e7b986c91e979f0b26796fa8974d24ae934e5bed05",
+        1: "da435a0c8283451b85e78fa170c8f3c7852096f67b2d797b29a6cac7bd68c3cb",
+        2: "71e099c3f3db4dc51eab8e931b087494255af2ba8414be0f4d251955cf3b4578",
+        3: "9bb58648b50d0c390cfcb82eca4af6ae4be607d13dc835f7865cf0ee92cbea88",
+        4: "95e271edd72432a94c775613ff8fa856c1f59ede9a59d8ef7f77ccfa2b908ad4",
+        5: "8764beba8a6a0e560ba73fcfabafb23f28d4a342a196fef60df1eb9db52b2dc6",
+        6: "54ccefcd267c270d06f6764109ded3240a137bde876e4955655fb135f7071630",
     }
 
 
@@ -620,7 +621,6 @@ def test_cli_run_writes_results(tmp_path, capsys):
 def test_cli_run_usage_errors(tmp_path):
     assert run_cli("run", "--scenario", "9") == 2
     assert run_cli("run", "--scenario", "1", "--config", str(tmp_path / "no.json")) == 2
-    assert run_cli("run", "--scenario", "1", "--format", "yaml") == 2
     assert run_cli("run", "--scenario", "1", "--set", "oops") == 2
 
 
@@ -635,6 +635,12 @@ def test_cli_run_usage_errors(tmp_path):
     (5, 'topology.per_host_access={"x":{}}', "topology.per_host_access.x"),
     (5, "monitor_interval_s=0", "monitor_interval_s"),
     (5, "duration_s=Infinity", "duration_s"),  # JSON as Python reads it
+    # time keys that would round to no microsecond, or run backwards
+    (5, "duration_s=1e-9", "duration_s"),
+    (5, "window_s=1e-7", "window_s"),
+    (5, "security.ids.anomaly_window_s=1e-9", "security.ids.anomaly_window_s"),
+    (5, "traffic.ddos.0.window.start_s=-1", "traffic.ddos.0.window.start_s"),
+    (5, "traffic.ddos.0.window.burst_period_s=-3", "traffic.ddos.0.window.burst_period_s"),
     # values outside a key's accepted range
     (5, "security.profiles.qos_sdn.detection_probability=2",
      "security.profiles.qos_sdn.detection_probability"),
@@ -643,7 +649,7 @@ def test_cli_run_usage_errors(tmp_path):
     (5, "security.profiles.netvirt.cost_us=-1", "security.profiles.netvirt.cost_us"),
     (5, "security.profiles.netvirt.memory_kb_per_flow=-1",
      "security.profiles.netvirt.memory_kb_per_flow"),
-    (5, "controller.congestion_threshold=2", "controller.congestion_threshold"),
+    (5, "controller.congestion_threshold=2", "controller.congestion_threshold"),  # unknown
     (5, "controller.install_delay_us=-5000", "controller.install_delay_us"),
     (5, "controller.drop_idle_timeout_s=0", "controller.drop_idle_timeout_s"),
     (5, "security.ids.anomaly_window_s=0", "security.ids.anomaly_window_s"),
@@ -669,8 +675,8 @@ def test_cli_run_usage_errors(tmp_path):
     (5, 'traffic.benign.1.sources=["host0","server0"]', "traffic.benign.1.sources"),
     (5, 'traffic.benign.0.sources="all_hosts"', "traffic.benign.0.sources"),  # dst host9
     (5, 'traffic.ddos.0.attackers=["host9"]', "traffic.ddos.0.attackers"),  # the target
-    # traffic runs between hosts and servers, never from or to the switch
-    # or the controller
+    # traffic runs between hosts and servers, never from or to the switch;
+    # no node is named controller
     (5, "traffic.benign.0.dst=switch0", "traffic.benign.0.dst"),
     (5, 'traffic.benign.1.sources=["host0","switch0"]', "traffic.benign.1.sources.1"),
     (5, "traffic.ddos.0.target=controller", "traffic.ddos.0.target"),
@@ -681,7 +687,7 @@ def test_cli_run_usage_errors(tmp_path):
     (5, "topology.hosts=0", "topology.hosts"),
     (5, "topology.servers=0", "topology.servers"),
     *((5, f"topology.{link}.{key}={value}", f"topology.{link}.{key}")
-      for link in ("access", "trunk", "control", "per_host_access.9")
+      for link in ("access", "trunk", "per_host_access.9")
       for key, value in (("latency_us", -1), ("bandwidth_bps", 0), ("queue_capacity", 0))),
     (2, "sweep.hosts=[0,5]", "sweep.hosts"),
 ])
