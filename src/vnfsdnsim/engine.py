@@ -2,10 +2,14 @@
 
 The clock is an integer microsecond counter.  Events are dispatched in
 (time, enqueue-sequence) order, so two runs that schedule the same events
-process them in the same order, always.  Randomness is drawn from named
-streams derived from the run seed, which keeps independent traffic sources
-reproducible in isolation: adding or removing one stream never perturbs
-the draws of another.
+process them in the same order, always.  ``run_until`` can also be fed a
+sorted list of ``(time, payload)`` items beside the heap: at an equal
+microsecond every event goes first, including one scheduled at that
+microsecond, and then the fed item.  A fed item is not an event: it takes
+no sequence number, is not counted in ``processed`` and does not enter the
+event hash.  Randomness is drawn from named streams derived from the run
+seed, which keeps independent traffic sources reproducible in isolation:
+adding or removing one stream never perturbs the draws of another.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ import heapq
 import math
 import random
 from enum import Enum
-from typing import Any, Callable
+from itertools import chain
+from typing import Any, Callable, Sequence
 
 SimTime = int  # microseconds since run start
 
@@ -34,7 +39,6 @@ class TimeTravel(Exception):
 class EventKind(Enum):
     PACKET_ARRIVAL = "packet_arrival"
     PACKET_DEPARTURE = "packet_departure"
-    TRAFFIC_EMIT = "traffic_emit"
     MONITOR_SAMPLE = "monitor_sample"
 
 
@@ -126,26 +130,45 @@ class SimEngine:
         heapq.heappush(self._heap, (time, self._seq, kind, fn, payload))
         self._seq += 1
 
-    def run_until(self, t: SimTime) -> int:
+    def run_until(
+        self,
+        t: SimTime,
+        feed: Sequence[tuple[SimTime, Any]] = (),
+        on_feed: Callable[[SimTime, Any], None] | None = None,
+    ) -> int:
         """Dispatch every event with time <= t; leave the clock exactly at t.
 
-        Returns the number of events processed by this call.
+        Each ``(time, payload)`` item of ``feed``, sorted by time and none
+        past ``t``, is handed to ``on_feed(time, payload)`` once every event
+        at or before its time has been dispatched.  Returns the number of
+        events processed by this call; fed items are not events.
         """
         t = int(t)
         if t < self._now:
             raise TimeTravel(f"cannot run backwards to {t}us from {self._now}us")
+        if feed and feed[-1][0] > t:
+            raise TimeTravel(f"fed item at {feed[-1][0]}us lies past {t}us")
         heap = self._heap
         pop = heapq.heappop
         buf = self._hash_buf
         n = 0
-        while heap and heap[0][0] <= t:
-            time_us, seq, kind, fn, payload = pop(heap)
-            self._now = time_us
-            buf.append(b"%d,%d,%s;" % (time_us, seq, _KIND_NAMES[id(kind)]))
-            if len(buf) >= HASH_BATCH:
-                self._flush_hash()
-            fn(time_us, payload)
-            n += 1
+        stop = (t, None)
+        for item in chain(feed, (stop,)):
+            at = item[0]
+            if at < self._now:
+                raise TimeTravel(f"fed item at {at}us, clock is at {self._now}us")
+            while heap and heap[0][0] <= at:
+                time_us, seq, kind, fn, payload = pop(heap)
+                self._now = time_us
+                buf.append(b"%d,%d,%s;" % (time_us, seq, _KIND_NAMES[id(kind)]))
+                if len(buf) >= HASH_BATCH:
+                    self._flush_hash()
+                fn(time_us, payload)
+                n += 1
+            if item is stop:
+                break
+            self._now = at
+            on_feed(at, item[1])
         self._now = t
         self._processed += n
         return n

@@ -25,6 +25,14 @@ may still dispatch arrivals from different links that share a microsecond
 in another order, as the FIFO form schedules each arrival earlier; where
 that order matters, the two forms give different runs.
 
+A run is ``start``, one ``advance`` per slice of offered traffic from
+``traffic.offered_chunks`` and ``finish``; ``run_cells`` takes several
+cells of one sweep point through the same slices in lockstep, so they are
+offered the very same packet objects.  An offered packet is not an event:
+the engine hands it to ``inject`` at its creation time, after every event
+of that microsecond.  A response enters through ``inject`` from an event
+and takes the cell's next id of -1, -2, ...
+
 Traffic runs between hosts and servers only, so every route is
 ``(src, switch, dst)`` and only the switch takes an arrival event.  When
 a hop is handed on (``_hop``) at its arrival time ``at``:
@@ -87,7 +95,7 @@ from .model import (
     Topology,
 )
 from .sdn import Controller, FlowRule
-from .traffic import AccessProfile, BenignProfile, DdosProfile, emit_stream
+from .traffic import AccessProfile, BenignProfile, DdosProfile, offered_chunks
 from .vnf import CaptureVnf, MitigationProfile, VnfChain
 
 #: Estimated state per tracked intrusion-detection source, for the memory gauge.
@@ -227,9 +235,10 @@ class NetworkSim:
             self._queues[(link.a, link.b)] = queue(link)
             self._queues[(link.b, link.a)] = queue(link)
 
-        self._next_packet_id = 0
+        self._responses = 0  # responses injected so far; the n-th has id -n
         self._first_threat_emit: dict[Flow, int] = {}
         self._detected_flows: set[Flow] = set()
+        self._duration_s = 0.0
         self._duration_us: SimTime = 0
         self._late_hops = 0  # last hops that arrive after the horizon
         # KPIs are reported over the endpoints, not the infrastructure.
@@ -261,17 +270,11 @@ class NetworkSim:
 
         return fold_and_keep
 
-    def _alloc_id(self) -> int:
-        pid = self._next_packet_id
-        self._next_packet_id += 1
-        return pid
-
     # ------------------------------------------------------------------
     # packet lifecycle
 
-    def inject(self, packet: Packet) -> None:
-        """Entry point for freshly emitted packets."""
-        now = self.engine.now()
+    def inject(self, now: SimTime, packet: Packet) -> None:
+        """Entry point for freshly emitted packets, offered ones and responses."""
         self._rec_emit(now, packet)
         if packet.cls is PacketClass.THREAT:
             self._first_threat_emit.setdefault(packet.flow, packet.created_at)
@@ -381,9 +384,11 @@ class NetworkSim:
     # responses
 
     def _respond(self, t: SimTime, request: Packet) -> None:
+        self._responses += 1
         self.inject(
+            t,
             Packet(
-                id=self._alloc_id(),
+                id=-self._responses,
                 src=request.dst,
                 dst=request.src,
                 size=request.response_size,
@@ -394,7 +399,7 @@ class NetworkSim:
                 origin=f"response/{request.origin}",
                 measured=False,
                 rtt_anchor=request.created_at,
-            )
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -435,24 +440,34 @@ class NetworkSim:
         access: Iterable[AccessProfile] = (),
     ) -> RunResult:
         """Run every profile's emissions for ``duration_s`` and fold the KPI
-        report; raise if a packet in flight is not held anywhere."""
-        duration_us = seconds(duration_s)
-        self._duration_us = duration_us
-        for profile in (*benign, *ddos, *access):
-            for stream in profile.streams(self.topology):
-                emit_stream(self.engine, stream, duration_us, self._alloc_id, self.inject)
-        if self.monitor_interval_us < duration_us:
+        report: ``run_cells`` with this one cell."""
+        (result,) = run_cells([self], duration_s, benign, ddos, access)
+        return result
+
+    def start(self, duration_s: float) -> None:
+        """Set the horizon and schedule the first monitor tick."""
+        self._duration_s = duration_s
+        self._duration_us = seconds(duration_s)
+        if self.monitor_interval_us < self._duration_us:
             self.engine.schedule(
                 self.monitor_interval_us, EventKind.MONITOR_SAMPLE, self._on_monitor_tick
             )
-        self.engine.run_until(duration_us)
-        report = self.aggregator.finalize(duration_us, len(self._device_ids))
+
+    def advance(self, end_us: SimTime, offered: list[tuple[SimTime, Packet]]) -> None:
+        """Run to ``end_us``, injecting each offered ``(created_at, packet)``."""
+        self.engine.run_until(end_us, offered, self.inject)
+
+    def finish(self) -> RunResult:
+        """Run to the horizon, fold the KPI report, raise if a packet in
+        flight is not held anywhere, and save the capture."""
+        self.engine.run_until(self._duration_us)
+        report = self.aggregator.finalize(self._duration_us, len(self._device_ids))
         self._check_conservation(report.counters.in_flight())
         if self.capture is not None and self.capture.monitoring:
             self.capture.stop_and_save()
         return RunResult(
             seed=self.engine.seed,
-            duration_s=duration_s,
+            duration_s=self._duration_s,
             report=report,
             events_processed=self.engine.processed,
             event_hash=self.engine.event_hash(),
@@ -467,3 +482,41 @@ class NetworkSim:
         held = self._late_hops + self.engine.pending(EventKind.PACKET_ARRIVAL) + waiting
         if in_flight != held:
             raise RuntimeError(f"packet conservation: {in_flight} in flight, {held} held")
+
+
+def run_cells(
+    sims: list[NetworkSim],
+    duration_s: float,
+    benign: Iterable[BenignProfile] = (),
+    ddos: Iterable[DdosProfile] = (),
+    access: Iterable[AccessProfile] = (),
+) -> list[RunResult]:
+    """Run cells that share a seed and a topology on the same offered packets.
+
+    The profiles' packets are drawn once, in ``offered_chunks`` slices, and
+    every slice is fed to every cell before the next is drawn.  Each cell
+    then finishes in order.  Raise unless every cell counted the same
+    offered traffic: the threats, the unauthorised attempts, the measured
+    benign packets and every packet but the responses.
+    """
+    first = sims[0]
+    streams = [
+        stream
+        for profile in (*benign, *ddos, *access)
+        for stream in profile.streams(first.topology)
+    ]
+    for sim in sims:
+        sim.start(duration_s)
+    for end_us, offered in offered_chunks(first.engine.seed, streams, seconds(duration_s)):
+        for sim in sims:
+            sim.advance(end_us, offered)
+    results = [sim.finish() for sim in sims]
+    counted = set()
+    for sim, result in zip(sims, results):
+        c = result.report.counters
+        counted.add((c.threat_packets, c.unauthorized_attempts, result.report.benign_sent,
+                     c.total_packets - sim._responses))
+    if len(counted) > 1:
+        raise RuntimeError("offered traffic differs across cells: (threats, unauthorised, "
+                           f"benign, all but responses) counted {sorted(counted)}")
+    return results

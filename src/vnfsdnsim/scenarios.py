@@ -3,10 +3,10 @@
 Six canned evaluations share one execution path: build the topology, wire
 a security configuration (an ordered function chain plus controller
 settings), run the scenario's traffic profiles through it, and fold KPIs.
-Every security configuration of a scenario runs under the same seed; the
-per-(profile, source) random streams guarantee the offered traffic is
-byte-identical across configurations, so KPI deltas are attributable to
-the security configuration alone.
+Every security configuration of a scenario runs under the same seed, and
+the cells of one sweep point run in lockstep on one draw of the offered
+traffic: every configuration is fed the very same packets, so KPI deltas
+are attributable to the security configuration alone.
 
 Results are emitted as CSV tables and as newline-delimited record streams
 whose bytes are reproducible under a fixed seed (one wall-clock header
@@ -48,7 +48,7 @@ from .metrics import (
     check_hypothesis1,
 )
 from .model import POSITIVE, build_topology, require
-from .runtime import NetworkSim, RunResult
+from .runtime import NetworkSim, RunResult, run_cells
 from .sdn import Controller
 from .vnf import (
     CAPTURE_FORMAT_VERSION,
@@ -118,14 +118,10 @@ def build_chain(
 # running
 
 
-def run_one(
-    cfg: ScenarioConfig,
-    label: str,
-    *,
-    hosts: int | None = None,
-    out_dir: str | Path | None = None,
-) -> RunResult:
-    """Execute one (security config, topology size) cell of a scenario."""
+def _build_sim(
+    cfg: ScenarioConfig, label: str, hosts: int | None, out_dir: str | Path | None
+) -> NetworkSim:
+    """Wire one (security config, topology size) cell of a scenario."""
     star = cfg.topology if hosts is None else replace(cfg.topology, hosts=hosts)
     topology = build_topology(star)
     engine = SimEngine(cfg.seed)
@@ -134,7 +130,7 @@ def run_one(
         capture_folder = Path(out_dir) / "captures" / f"s{cfg.scenario}_{label}"
     chain, capture = build_chain(label, cfg, engine, topology, capture_folder)
     controller = Controller(topology, cfg.controller)
-    sim = NetworkSim(
+    return NetworkSim(
         topology,
         engine,
         controller,
@@ -144,8 +140,31 @@ def run_one(
         monitor_interval_s=cfg.monitor_interval_s,
         memory_base_mb=cfg.memory_base_mb,
     )
+
+
+def _run_point(
+    cfg: ScenarioConfig,
+    labels: tuple[str, ...],
+    hosts: int | None,
+    out_dir: str | Path | None,
+) -> list[RunResult]:
+    """Run one sweep point: every labelled cell, fed the same packets in lockstep."""
+    sims = [_build_sim(cfg, label, hosts, out_dir) for label in labels]
     traffic = cfg.traffic
-    return sim.run(cfg.duration_s, traffic.benign, traffic.ddos, traffic.access)
+    return run_cells(sims, cfg.duration_s, traffic.benign, traffic.ddos, traffic.access)
+
+
+def run_one(
+    cfg: ScenarioConfig,
+    label: str,
+    *,
+    hosts: int | None = None,
+    out_dir: str | Path | None = None,
+) -> RunResult:
+    """Execute one (security config, topology size) cell of a scenario: a
+    sweep point with that one cell."""
+    (result,) = _run_point(cfg, (label,), hosts, out_dir)
+    return result
 
 
 @dataclass(frozen=True)
@@ -201,16 +220,21 @@ def run_scenario(
         raise ConfigMismatch(
             f"configuration is for scenario {cfg.scenario}, not {scenario_id}"
         )
-    rows: list[RunRow] = []
-    if cfg.sweep.hosts:
-        for label in cfg.security.configs:
-            for n in cfg.sweep.hosts:
-                result = run_one(cfg, label, hosts=n, out_dir=out_dir)
-                rows.append(RunRow(f"{label}_h{n:03d}", n, result))
-    else:
-        for label in cfg.security.configs:
-            result = run_one(cfg, label, out_dir=out_dir)
-            rows.append(RunRow(label, cfg.topology.hosts, result))
+    labels = tuple(cfg.security.configs)
+    # Sweep points run in ascending order, so the capture a later point saves
+    # replaces the earlier ones'; rows stay label-major.
+    points = cfg.sweep.hosts or (cfg.topology.hosts,)
+    cells = {
+        (label, n): result
+        for n in points
+        for label, result in zip(labels, _run_point(cfg, labels, n, out_dir))
+    }
+    suffixed = bool(cfg.sweep.hosts)
+    rows = [
+        RunRow(f"{label}_h{n:03d}" if suffixed else label, n, cells[label, n])
+        for label in labels
+        for n in points
+    ]
     result = ScenarioResult(
         scenario=scenario_id,
         seed=cfg.seed,

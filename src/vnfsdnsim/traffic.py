@@ -2,21 +2,29 @@
 
 Each profile describes its traffic as a list of packet streams, one per
 source (two per source for access attempts: authorised and unauthorised).
-A stream holds everything its packets share, and ``emit_stream`` is the one
-emitter that turns any stream into packets.  Every stream draws from its own
-named random stream, so its packet sequence is a pure function of the run
-seed and its own parameters.  Emission is a Poisson process on the stream's
-*active* time axis; an activity window maps that axis onto wall-clock time,
-which is how phased and pulsed attacks are described without extra
-randomness.
+A stream holds everything its packets share.  Every stream draws from its
+own named random stream, ``RngStream(seed, stream.name)``, in one order per
+packet: the exponential gap, then (with a ``request_fraction``) the request
+uniform, then (with a size range) the size.  So its packet sequence is a
+pure function of the run seed and its own parameters.  Emission is a Poisson
+process on the stream's *active* time axis; an activity window maps that
+axis onto wall-clock time, which is how phased and pulsed attacks are
+described without extra randomness.
+
+``offered_chunks`` is the one emitter: it draws every stream of a sweep
+point once and merges them into ``Packet`` objects sorted by (creation
+time, stream index), numbered 0, 1, 2, ... in that order, and handed out in
+``CHUNK_US`` slices of the horizon.  Every security config of the point is
+fed the same chunks, so it sees the very same packet objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Literal
+from operator import itemgetter
+from typing import Iterator, Literal
 
-from .engine import EventKind, SimEngine, SimTime, seconds
+from .engine import RngStream, SimTime, seconds
 from .model import (
     FRACTION,
     MAX_PACKET_BYTES,
@@ -31,8 +39,10 @@ from .model import (
     require,
 )
 
-PacketSink = Callable[[Packet], None]
-IdAllocator = Callable[[], int]
+#: Length of one slice of offered traffic, in microseconds.  The cells of a
+#: sweep point advance through the slices in lockstep, so only one slice of
+#: packets is held at a time.
+CHUNK_US = 100_000
 
 #: ``require`` range of a rate in packets per second: off, or large enough
 #: that an exponential gap drawn from it stays finite.
@@ -56,6 +66,9 @@ class ActivityWindow:
 
     def __post_init__(self) -> None:
         require(self, NON_NEGATIVE, "start_s")
+        if self.stop_s is not None:
+            require(self, (f"greater than start_s ({self.start_s})",
+                           lambda stop: stop > self.start_s), "stop_s")
         if self.burst_period_s is not None:
             require(self, POSITIVE, "burst_period_s")
             in_cycle = (f"in (0, {self.burst_period_s}]",
@@ -257,45 +270,72 @@ class AccessProfile:
         ]
 
 
-def emit_stream(
-    engine: SimEngine,
-    stream: PacketStream,
-    duration_us: SimTime,
-    next_id: IdAllocator,
-    sink: PacketSink,
-) -> None:
-    """Schedule the stream's Poisson arrivals on its active axis into ``sink``.
-
-    A zero-rate stream schedules nothing and registers no random stream.
-    """
-    if stream.rate_pps <= 0:
-        return
-    rng = engine.register_stream(stream.name)
+def _draws(seed: int, index: int, stream: PacketStream, duration_us: SimTime):
+    """The stream's emissions as a function ``take(end_us, out)`` that appends
+    ``(created_at, index, size, response_size)`` for each one before ``end_us``
+    to ``out``, drawing as it goes; ``take`` is called with rising ends."""
+    rng = RngStream(seed, stream.name)
     window = stream.window
     limit = duration_us if window.stop_s is None else min(seconds(window.stop_s), duration_us)
-    # The stream's constants, bound once: ``emit`` runs once per packet.
-    src, dst, size, protocol = stream.src, stream.dst, stream.size, stream.protocol
-    cls, tag, threat_kind, origin = stream.cls, stream.tag, stream.threat_kind, stream.origin
-    measured, rate = stream.measured, stream.rate_pps
+    rate, size = stream.rate_pps, stream.size
     request_fraction, response_size = stream.request_fraction, stream.response_size
     cursor = 0.0  # seconds on the stream's active axis
+    head = None  # the drawn emission that the last ``take`` did not reach
 
-    def emit(now: SimTime, _payload) -> None:
-        # The request draw, when there is one, comes before the size draw.
-        request = request_fraction > 0.0 and rng.uniform() < request_fraction
-        sink(
-            Packet(
-                next_id(), src, dst, size.draw(rng), protocol, cls, tag, now, threat_kind,
-                origin, measured, response_size if request else 0,
-            )
-        )
-        push_next()
-
-    def push_next() -> None:
+    def draw():
         nonlocal cursor
         cursor += rng.exponential(rate)
         wall = window.wall_us(cursor)
-        if wall < limit:
-            engine.schedule(wall, EventKind.TRAFFIC_EMIT, emit)
+        if wall >= limit:
+            return None
+        # The request draw, when there is one, comes before the size draw.
+        request = request_fraction > 0.0 and rng.uniform() < request_fraction
+        return (wall, index, size.draw(rng), response_size if request else 0)
 
-    push_next()
+    def take(end_us: SimTime, out: list) -> None:
+        nonlocal head
+        while head is not None and head[0] < end_us:
+            out.append(head)
+            head = draw()
+
+    head = draw()
+    return take
+
+
+def offered_chunks(
+    seed: int, streams: list[PacketStream], duration_us: SimTime
+) -> Iterator[tuple[SimTime, list[tuple[SimTime, Packet]]]]:
+    """The streams' packets over ``[0, duration_us)``, in ``CHUNK_US`` slices.
+
+    Yields ``(end_us, items)`` per slice ``[k * CHUNK_US, end_us)``, the last
+    one ending at the horizon; ``items`` are ``(created_at, packet)`` sorted
+    by (creation time, stream index), a stream's own packets in draw order,
+    and packet ids count up from 0 in that order.  A zero-rate stream draws nothing and opens no random stream.
+    """
+    takes = [
+        _draws(seed, index, stream, duration_us)
+        for index, stream in enumerate(streams)
+        if stream.rate_pps > 0
+    ]
+    shared = [
+        (s.src, s.dst, s.protocol, s.cls, s.tag, s.threat_kind, s.origin, s.measured)
+        for s in streams
+    ]
+    first = itemgetter(0)
+    next_id = 0
+    end_us = 0
+    while end_us < duration_us:
+        end_us = min(end_us + CHUNK_US, duration_us)
+        drawn: list[tuple] = []
+        for take in takes:
+            take(end_us, drawn)
+        # ``drawn`` runs stream by stream, each in draw order, and the sort is
+        # stable: equal times keep stream order, and a stream its draw order.
+        drawn.sort(key=first)
+        items = []
+        for wall, index, size, response_size in drawn:
+            src, dst, protocol, cls, tag, threat_kind, origin, measured = shared[index]
+            items.append((wall, Packet(next_id, src, dst, size, protocol, cls, tag, wall,
+                                       threat_kind, origin, measured, response_size)))
+            next_id += 1
+        yield end_us, items

@@ -396,9 +396,9 @@ def test_routing_oracle_and_rule_blackholing():
     send_times_ms = (0, 100, 200, 350, 500, 650, 1500)
     for i, t_ms in enumerate(send_times_ms):
         def fire(now, _p, pid=i):
-            sim.inject(Packet(id=pid, src=0, dst=3, size=1000, protocol="tcp",
+            sim.inject(now, Packet(id=pid, src=0, dst=3, size=1000, protocol="tcp",
                               cls=PacketClass.BENIGN, tag="chatty", created_at=now))
-        engine.schedule(t_ms * 1000, EventKind.TRAFFIC_EMIT, fire)
+        engine.schedule(t_ms * 1000, EventKind.MONITOR_SAMPLE, fire)
     sim.run(2.0)
     trace = sim.trace
     delivered = [r for r in trace if r[0] == "deliver"]

@@ -1,4 +1,5 @@
-"""Event queue semantics and the named-stream randomness contract."""
+"""Event queue semantics, fed items beside the queue, and the named-stream
+randomness contract."""
 
 import math
 
@@ -22,9 +23,9 @@ def test_seconds_converts_to_integer_microseconds():
 def test_events_dispatch_in_time_then_insertion_order():
     engine = SimEngine(1)
     seen = []
-    engine.schedule(50, EventKind.TRAFFIC_EMIT, lambda t, p: seen.append(("a", t)))
-    engine.schedule(10, EventKind.TRAFFIC_EMIT, lambda t, p: seen.append(("b", t)))
-    engine.schedule(50, EventKind.TRAFFIC_EMIT, lambda t, p: seen.append(("c", t)))
+    engine.schedule(50, EventKind.PACKET_ARRIVAL, lambda t, p: seen.append(("a", t)))
+    engine.schedule(10, EventKind.PACKET_ARRIVAL, lambda t, p: seen.append(("b", t)))
+    engine.schedule(50, EventKind.PACKET_ARRIVAL, lambda t, p: seen.append(("c", t)))
     n = engine.run_until(100)
     assert n == 3
     assert seen == [("b", 10), ("a", 50), ("c", 50)]
@@ -33,7 +34,7 @@ def test_events_dispatch_in_time_then_insertion_order():
 
 def test_pending_counts_queued_events_by_kind():
     engine = SimEngine(1)
-    for t, kind in ((10, EventKind.PACKET_ARRIVAL), (20, EventKind.TRAFFIC_EMIT),
+    for t, kind in ((10, EventKind.PACKET_ARRIVAL), (20, EventKind.PACKET_DEPARTURE),
                     (30, EventKind.PACKET_ARRIVAL)):
         engine.schedule(t, kind, lambda t, p: None)
     engine.run_until(15)
@@ -49,9 +50,9 @@ def test_handler_may_schedule_followups_within_horizon():
     def chain(t, payload):
         fired.append(t)
         if payload > 0:
-            engine.schedule(t + 10, EventKind.TRAFFIC_EMIT, chain, payload - 1)
+            engine.schedule(t + 10, EventKind.PACKET_ARRIVAL, chain, payload - 1)
 
-    engine.schedule(0, EventKind.TRAFFIC_EMIT, chain, 5)
+    engine.schedule(0, EventKind.PACKET_ARRIVAL, chain, 5)
     engine.run_until(35)
     assert fired == [0, 10, 20, 30]
     engine.run_until(100)
@@ -62,11 +63,58 @@ def test_scheduling_in_the_past_is_rejected():
     engine = SimEngine(1)
     engine.run_until(100)
     with pytest.raises(TimeTravel):
-        engine.schedule(99, EventKind.TRAFFIC_EMIT, lambda t, p: None)
+        engine.schedule(99, EventKind.PACKET_ARRIVAL, lambda t, p: None)
     with pytest.raises(TimeTravel):
         engine.run_until(50)
     # scheduling exactly at the current time is allowed
-    engine.schedule(100, EventKind.TRAFFIC_EMIT, lambda t, p: None)
+    engine.schedule(100, EventKind.PACKET_ARRIVAL, lambda t, p: None)
+
+
+def test_fed_items_follow_every_event_at_their_microsecond():
+    engine = SimEngine(1)
+    seen = []
+
+    def event(t, name):
+        seen.append((name, t))
+        if name == "e10":  # an event scheduled at its own microsecond still goes first
+            engine.schedule(t, EventKind.PACKET_ARRIVAL, event, "e10-again")
+
+    def fed(t, name):
+        seen.append((name, t))
+        if name == "f10":  # and so does one a fed item schedules before the next item
+            engine.schedule(t, EventKind.PACKET_ARRIVAL, event, "e10-fed")
+
+    for t, name in ((10, "e10"), (20, "e20"), (5, "e5")):
+        engine.schedule(t, EventKind.PACKET_ARRIVAL, event, name)
+    feed = [(0, "f0"), (10, "f10"), (10, "f10b"), (15, "f15")]
+    assert engine.run_until(15, feed, fed) == 4
+    assert seen == [("f0", 0), ("e5", 5), ("e10", 10), ("e10-again", 10), ("f10", 10),
+                    ("e10-fed", 10), ("f10b", 10), ("f15", 15)]
+    assert engine.now() == 15 and engine.pending() == 1
+
+
+def test_fed_items_are_not_events():
+    def run(feed):
+        engine = SimEngine(1)
+        for t in (3, 7):
+            engine.schedule(t, EventKind.PACKET_ARRIVAL, lambda t, p: None)
+        engine.run_until(10, feed, lambda t, p: None)
+        return engine.processed, engine.event_hash()
+
+    # no sequence number, no count, no hash input
+    assert run([]) == run([(1, "a"), (3, "b"), (9, "c")]) == (2, run([])[1])
+
+
+def test_a_feed_must_be_sorted_and_within_the_horizon():
+    engine = SimEngine(1)
+    with pytest.raises(TimeTravel):
+        engine.run_until(10, [(5, "a"), (4, "b")], lambda t, p: None)
+    engine = SimEngine(1)
+    with pytest.raises(TimeTravel):
+        engine.run_until(10, [(11, "a")], lambda t, p: None)
+    engine.run_until(10)
+    with pytest.raises(TimeTravel):
+        engine.run_until(20, [(9, "a")], lambda t, p: None)
 
 
 def test_event_hash_is_reproducible_and_seed_free():
@@ -98,7 +146,7 @@ def test_event_hash_golden_value_across_flush_batches():
     # batching the hasher's input must not change it.
     def run():
         engine = SimEngine(7)
-        kinds = list(EventKind)
+        kinds = [EventKind.PACKET_ARRIVAL, EventKind.PACKET_DEPARTURE, EventKind.MONITOR_SAMPLE]
         for i in range(12_000):
             engine.schedule((i * 7919) % 5_000, kinds[i % len(kinds)], lambda t, p: None)
         engine.run_until(2_500)
@@ -107,7 +155,7 @@ def test_event_hash_golden_value_across_flush_batches():
         return engine.event_hash()
 
     assert 12_000 > 2 * HASH_BATCH
-    assert run() == "d4ef19668c9df3a0d89377525bcc69593cbf6d4cbb0857914f9fecbfbd872a7f"
+    assert run() == "d8c9486cd6823d68fc4878ef86b410ac7e40909980f1e50e8ccf16f944772fff"
 
 
 def test_streams_must_be_registered_before_use():

@@ -27,7 +27,7 @@ from vnfsdnsim.model import (
     ThreatKind,
     build_topology,
 )
-from vnfsdnsim.runtime import NetworkSim, service_time_us
+from vnfsdnsim.runtime import NetworkSim, run_cells, service_time_us
 from vnfsdnsim.scenarios import run_one
 from vnfsdnsim.sdn import Controller, ControllerSettings
 from vnfsdnsim.traffic import BenignProfile, DdosProfile, SizeDist
@@ -73,13 +73,14 @@ def inject_at(sim, t_us, pid, *, src=0, dst=None, size=1000, cls=PacketClass.BEN
         measured = cls is PacketClass.BENIGN
 
     def fire(now, _payload):
-        sim.inject(Packet(
+        sim.inject(now, Packet(
             id=pid, src=src, dst=dst, size=size, protocol="tcp", cls=cls,
             tag=tag, created_at=now, threat_kind=threat_kind, measured=measured,
             response_size=response_size,
         ))
 
-    sim.engine.schedule(t_us, EventKind.TRAFFIC_EMIT, fire)
+    # any kind but PACKET_ARRIVAL, which the conservation check counts as held
+    sim.engine.schedule(t_us, EventKind.MONITOR_SAMPLE, fire)
 
 
 def recs(sim, kind):
@@ -195,18 +196,22 @@ def test_events_per_two_hop_packet(qos, packets, monkeypatch):
         schedule(time, kind, fn, payload)
 
     monkeypatch.setattr(sim.engine, "schedule", counting)
-    for pid in range(packets):
-        inject_at(sim, 0, pid=pid)
-    result = sim.run(0.01)
-    # an emit and the arrival at the switch; the delivery is recorded when
-    # the last hop is scheduled, without an event.  The second packet waits
-    # behind the first on both links, and the event-driven server wakes for
-    # it there
+    server = sim.topology.by_name("server0").id
+    offered = [
+        (0, Packet(id=pid, src=0, dst=server, size=1000, protocol="tcp",
+                   cls=PacketClass.BENIGN, tag="gold", created_at=0, measured=True))
+        for pid in range(packets)
+    ]
+    sim.start(0.01)
+    sim.advance(seconds(0.01), offered)
+    result = sim.finish()
+    # an offered packet is fed, not emitted by an event; it costs the arrival
+    # at the switch alone, as the delivery is recorded when the last hop is
+    # scheduled.  The second packet waits behind the first on both links,
+    # and the event-driven server wakes for it there
     waits = 2 if qos and packets == 2 else 0
-    assert scheduled == Counter(
-        TRAFFIC_EMIT=packets, PACKET_ARRIVAL=packets, PACKET_DEPARTURE=waits
-    )
-    assert result.events_processed == 2 * packets + waits
+    assert scheduled == Counter(PACKET_ARRIVAL=packets, PACKET_DEPARTURE=waits)
+    assert result.events_processed == packets + waits
     assert [r[1] for r in recs(sim, "deliver")] == [1188, 1268][:packets]
 
 
@@ -342,6 +347,26 @@ def test_a_delivery_without_its_record_fails_the_conservation_check():
     with pytest.raises(RuntimeError, match="1 in flight, 0 held"):
         sim.run(0.01)
     assert [p.id for p in lost] == [1]
+
+
+def test_cells_that_count_different_offers_fail_the_run():
+    web = BenignProfile(name="web", sources="all_hosts", dst="server0",
+                        rate_pps=200.0, size=SizeDist(100), tag="gold")
+    assert len({r.report.counters.total_packets
+                for r in run_cells([make_sim(), make_sim()], 0.5, benign=[web])}) == 1
+    sims = [make_sim(), make_sim()]
+    inject, lost = sims[1].inject, []
+
+    def lose_the_first(t, packet):
+        if lost:
+            inject(t, packet)
+        else:
+            lost.append(packet)
+
+    sims[1].inject = lose_the_first  # the second cell is never offered packet 0
+    with pytest.raises(RuntimeError, match="offered traffic differs across cells"):
+        run_cells(sims, 0.5, benign=[web])
+    assert [p.id for p in lost] == [0]
 
 
 def test_a_run_without_traffic_reports_undefined_ratios():

@@ -11,10 +11,12 @@ import hashlib
 import json
 import re
 import typing
+from functools import partial
 from pathlib import Path
 
 import pytest
 
+from vnfsdnsim import scenarios, traffic
 from vnfsdnsim.cli import main
 from vnfsdnsim.config import (
     ConfigError,
@@ -27,6 +29,7 @@ from vnfsdnsim.config import (
 )
 from vnfsdnsim.metrics import Hypothesis1Result
 from vnfsdnsim.model import PacketClass
+from vnfsdnsim.runtime import NetworkSim
 from vnfsdnsim.scenarios import (
     BadFormat,
     CalibrationTargets,
@@ -446,6 +449,40 @@ def test_emitted_bytes_match_golden(scenario, tmp_path):
     assert files == golden["files"]
 
 
+def test_the_cells_of_a_sweep_point_share_the_offered_packets(monkeypatch):
+    monkeypatch.setattr(scenarios, "NetworkSim", partial(NetworkSim, collect_trace=True))
+    tree = apply_overrides(default_config(2), [
+        "duration_s=1", "sweep.hosts=[4,9]", "traffic.ddos.0.window.start_s=0.5",
+        'security.configs=["no_security","vnfsdn","profile-qos_sdn"]',
+    ])
+    result = run_scenario(2, from_dict(tree))
+
+    def offered(row):
+        return [rec[2] for rec in row.result.trace if rec[0] == "emit" and rec[2].id >= 0]
+
+    for hosts in (4, 9):
+        first, *others = [offered(row) for row in result.rows if row.hosts == hosts]
+        assert [p.id for p in first] == list(range(len(first))) and len(first) > 300
+        for packets in others:
+            assert len(packets) == len(first)
+            assert all(mine is theirs for mine, theirs in zip(packets, first))
+    # responses are numbered per cell, downwards from -1
+    responses = [rec[2].id for rec in result.rows[0].result.trace
+                 if rec[0] == "emit" and rec[2].id < 0]
+    assert responses == list(range(-1, -len(responses) - 1, -1)) and responses
+
+
+@pytest.mark.parametrize("scenario", [1, 5])
+def test_results_do_not_depend_on_the_chunk_length(scenario, monkeypatch):
+    tree = apply_overrides(default_config(scenario), ["duration_s=2", *GOLDEN_RUNS[scenario]])
+    cfg = from_dict(tree)
+    digests = set()
+    for chunk_us in (1_000, 100_000, 10**9):  # 1 ms, the shipped 100 ms, past the horizon
+        monkeypatch.setattr(traffic, "CHUNK_US", chunk_us)
+        digests.add(run_scenario(scenario, cfg).digest())
+    assert len(digests) == 1
+
+
 def test_load_results_ignores_unrelated_files(tmp_path):
     (tmp_path / "notes.txt").write_text("scratch")
     assert load_results(tmp_path) == []
@@ -641,6 +678,9 @@ def test_cli_run_usage_errors(tmp_path):
     (5, "security.ids.anomaly_window_s=1e-9", "security.ids.anomaly_window_s"),
     (5, "traffic.ddos.0.window.start_s=-1", "traffic.ddos.0.window.start_s"),
     (5, "traffic.ddos.0.window.burst_period_s=-3", "traffic.ddos.0.window.burst_period_s"),
+    # a window that ends before it starts never emits (the flood starts at 15 s)
+    (5, "traffic.ddos.0.window.stop_s=10", "traffic.ddos.0.window.stop_s"),
+    (5, "traffic.ddos.0.window.stop_s=-1", "traffic.ddos.0.window.stop_s"),
     # values outside a key's accepted range
     (5, "security.profiles.qos_sdn.detection_probability=2",
      "security.profiles.qos_sdn.detection_probability"),

@@ -1,6 +1,7 @@
 """Traffic generation: arrival times replayed against the raw random
-streams, burst-window arithmetic, class/tag assignment, and the stream
-isolation that keeps workloads identical across security configurations.
+streams, burst-window arithmetic, class/tag assignment, the merge of the
+streams into numbered chunks, and the stream isolation that keeps workloads
+identical across security configurations.
 
 The profiles run over a two-host star: host0/host1 at ids 0/1, the switch
 at 2 and server0 at 3.
@@ -11,6 +12,7 @@ from dataclasses import replace
 
 import pytest
 
+from vnfsdnsim import traffic
 from vnfsdnsim.engine import RngStream, SimEngine, seconds
 from vnfsdnsim.model import PacketClass, StarSpec, ThreatKind, build_topology
 from vnfsdnsim.runtime import NetworkSim
@@ -21,22 +23,21 @@ from vnfsdnsim.traffic import (
     BenignProfile,
     DdosProfile,
     SizeDist,
-    emit_stream,
+    offered_chunks,
 )
 from vnfsdnsim.vnf import VnfChain
 
 STAR = build_topology(StarSpec(hosts=2))
 
 
-def run_profile(engine, duration_s, *profiles):
-    """Emit every stream of ``profiles`` into a list and run to the end."""
-    out = []
-    counter = iter(range(1, 10_000_000))
-    for profile in profiles:
-        for stream in profile.streams(STAR):
-            emit_stream(engine, stream, seconds(duration_s), lambda: next(counter), out.append)
-    engine.run_until(seconds(duration_s))
-    return out
+def run_profile(seed, duration_s, *profiles):
+    """Every packet the streams of ``profiles`` offer, in offered order."""
+    streams = [stream for profile in profiles for stream in profile.streams(STAR)]
+    return [
+        packet
+        for _end, items in offered_chunks(seed, streams, seconds(duration_s))
+        for _t, packet in items
+    ]
 
 
 def test_benign_arrivals_replay_from_the_named_stream():
@@ -44,8 +45,7 @@ def test_benign_arrivals_replay_from_the_named_stream():
         name="web", sources=("host0",), dst="server0",
         rate_pps=50.0, size=SizeDist(400), tag="gold",
     )
-    engine = SimEngine(99)
-    packets = run_profile(engine, 2.0, profile)
+    packets = run_profile(99, 2.0, profile)
     # rebuild the exact arrival sequence from the same seed and stream name
     stream = RngStream(99, "benign/web/host0")
     expected, cursor = [], 0.0
@@ -65,8 +65,7 @@ def test_poisson_volume_tracks_rate():
         name="bulk", sources=("host0",), dst="server0",
         rate_pps=500.0, size=SizeDist(200, 1200), tag="gold",
     )
-    engine = SimEngine(7)
-    packets = run_profile(engine, 20.0, profile)
+    packets = run_profile(7, 20.0, profile)
     mean = 500.0 * 20.0
     assert abs(len(packets) - mean) < 4 * math.sqrt(mean)
     assert all(200 <= p.size <= 1200 for p in packets)
@@ -78,8 +77,7 @@ def test_request_fraction_marks_probes():
         rate_pps=1000.0, size=SizeDist(128), tag="gold",
         request_fraction=0.3, response_size=900,
     )
-    engine = SimEngine(21)
-    packets = run_profile(engine, 5.0, profile)
+    packets = run_profile(21, 5.0, profile)
     fraction = sum(p.response_size > 0 for p in packets) / len(packets)
     assert abs(fraction - 0.3) < 4 * math.sqrt(0.3 * 0.7 / len(packets))
     assert {p.response_size for p in packets} == {0, 900}
@@ -97,6 +95,10 @@ def test_activity_window_maps_active_axis_to_wall_clock():
         ActivityWindow(burst_period_s=5.0)
     with pytest.raises(ValueError):
         ActivityWindow(burst_period_s=5.0, burst_on_s=6.0)
+    # a window that stops at or before its start can never emit
+    for start_s, stop_s in ((15.0, 10.0), (0.0, -1.0), (2.0, 2.0)):
+        with pytest.raises(ValueError, match="stop_s must be greater than start_s"):
+            ActivityWindow(start_s=start_s, stop_s=stop_s)
 
 
 def test_burst_window_confines_emission_to_on_phases():
@@ -105,8 +107,7 @@ def test_burst_window_confines_emission_to_on_phases():
         attackers=("host0",), rate_multiplier=20.0, base_rate_pps=10.0,
         window=ActivityWindow(start_s=0.5, burst_period_s=1.0, burst_on_s=0.2),
     )
-    engine = SimEngine(3)
-    packets = run_profile(engine, 8.0, profile)
+    packets = run_profile(3, 8.0, profile)
     assert len(packets) > 100  # ~200 pps on 20% duty over 7.5 s
     for p in packets:
         offset_us = (p.created_at - seconds(0.5)) % seconds(1.0)
@@ -134,8 +135,7 @@ def test_ddos_rate_is_multiplier_times_base():
         attackers=("host0", "host1"), rate_multiplier=50.0, base_rate_pps=10.0,
     )
     assert profile.rate_pps_per_attacker == 500.0
-    engine = SimEngine(11)
-    packets = run_profile(engine, 4.0, profile)
+    packets = run_profile(11, 4.0, profile)
     per_source = {src: sum(1 for p in packets if p.src == src) for src in (0, 1)}
     for count in per_source.values():
         assert abs(count - 2000) < 4 * math.sqrt(2000)
@@ -146,8 +146,7 @@ def test_access_attempts_split_by_authorisation():
         name="door", sources=("host0",), dst="server0",
         authorized_pps=40.0, unauthorized_pps=10.0, authorized_tag="gold",
     )
-    engine = SimEngine(13)
-    packets = run_profile(engine, 20.0, profile)
+    packets = run_profile(13, 20.0, profile)
     good = [p for p in packets if p.cls is PacketClass.BENIGN]
     bad = [p for p in packets if p.cls is PacketClass.UNAUTHORIZED_ACCESS]
     assert len(good) + len(bad) == len(packets)
@@ -166,20 +165,27 @@ def test_profiles_draw_from_isolated_streams():
                        threat_kind=ThreatKind.UDP_FLOOD, attackers=("host1",))
 
     def fingerprint(with_attack):
-        engine = SimEngine(2024)
-        packets = run_profile(engine, 3.0, web, *([junk] if with_attack else []))
+        packets = run_profile(2024, 3.0, web, *([junk] if with_attack else []))
         return [(p.created_at, p.size) for p in packets if p.origin == "benign/web"]
 
     assert fingerprint(False) == fingerprint(True)
 
 
-def test_zero_rate_emits_nothing():
+def test_zero_rate_emits_nothing(monkeypatch):
     profile = BenignProfile(name="mute", sources=("host0",), dst="server0",
                             rate_pps=0.0, size=SizeDist(100), tag="gold")
-    engine = SimEngine(1)
-    packets = run_profile(engine, 5.0, profile)
-    assert packets == []
-    assert engine._streams == {}  # no random stream registered either
+    opened = []
+
+    class Counting(RngStream):
+        def __init__(self, seed, name):
+            opened.append(name)
+            super().__init__(seed, name)
+
+    monkeypatch.setattr(traffic, "RngStream", Counting)
+    assert run_profile(1, 5.0, profile) == []
+    assert opened == []  # no random stream opened either
+    assert run_profile(1, 5.0, replace(profile, rate_pps=1.0))
+    assert opened == ["benign/mute/host0"]
 
 
 def test_streams_name_and_resolve_their_endpoints():
@@ -207,3 +213,38 @@ def test_streams_name_and_resolve_their_endpoints():
         ("access/door/host1/authorized", 1, 3),
         ("access/door/host1/unauthorized", 1, 3),
     ]
+
+
+def test_chunks_merge_the_streams_in_time_then_stream_order(monkeypatch):
+    # 20k pps per stream puts many emissions of one stream, and of both, on
+    # one microsecond; ranges on size and requests use every draw
+    web = BenignProfile(name="web", sources="all_hosts", dst="server0",
+                        rate_pps=20_000.0, size=SizeDist(100, 900), tag="gold",
+                        request_fraction=0.5, response_size=300)
+    streams = web.streams(STAR)
+    horizon = seconds(0.25)
+
+    def replay(stream):
+        rng, cursor, out = RngStream(5, stream.name), 0.0, []
+        while True:
+            cursor += rng.exponential(stream.rate_pps)
+            wall = seconds(cursor)
+            if wall >= horizon:
+                return out
+            request = rng.uniform() < stream.request_fraction
+            out.append((wall, stream.src, rng.uniform_int(100, 900), 300 if request else 0))
+
+    want = sorted(replay(streams[0]) + replay(streams[1]), key=lambda x: (x[0], x[1]))
+    assert len(want) > 2 * 4500 and len({w[0] for w in want}) < len(want)
+    for chunk_us in (1, 1_000, 100_000, 10**9):
+        monkeypatch.setattr(traffic, "CHUNK_US", chunk_us)
+        chunks = list(offered_chunks(5, streams, horizon))
+        ends = [end for end, _ in chunks]
+        assert ends == [min(k * chunk_us, horizon) for k in range(1, len(chunks) + 1)]
+        assert ends[-1] == horizon
+        packets = []
+        for (start, _), (end, items) in zip([(0, None), *chunks], chunks):
+            assert all(start <= t < end and t == p.created_at for t, p in items)
+            packets.extend(p for _, p in items)
+        assert [p.id for p in packets] == list(range(len(want)))
+        assert [(p.created_at, p.src, p.size, p.response_size) for p in packets] == want
