@@ -58,7 +58,7 @@ from .scenarios import (
     run_scenario,
     verify_hypothesis1,
 )
-from .sdn import Controller, ControllerSettings, FlowRule, NoPath
+from .sdn import Controller, ControllerSettings, FlowRule
 from .traffic import AccessProfile, ActivityWindow, BenignProfile, DdosProfile
 from .vnf import (
     CaptureVnf,

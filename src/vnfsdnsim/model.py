@@ -1,8 +1,8 @@
 """Domain model: nodes, links, packets, policies and topology construction.
 
 Node identifiers are dense integers assigned in declaration order (a star's
-hosts, then its switch, then its servers), which keeps route tie-breaking
-and output ordering stable across runs.  The controller is not a node.
+hosts, then its switch, then its servers), which keeps output ordering
+stable across runs.  The controller is not a node.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ class Packet:
     user-facing benign workload that KPIs are computed over, and a packet
     with a positive ``response_size`` is a request: it asks its destination
     for a reply of that many bytes, whose ``rtt_anchor`` is the request's
-    creation time.  Forwarding state (route and hop) travels with the
+    creation time.  Forwarding state (its hop) travels with the
     packet in the runtime's events, not on it.
     """
 
@@ -159,16 +159,9 @@ class Topology:
     nodes: list[Node]
     links: list[Link]
     _by_name: dict[str, Node] = field(init=False, repr=False)
-    _adjacency: dict[NodeId, list[tuple[NodeId, Link]]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._by_name = {n.name: n for n in self.nodes}
-        self._adjacency = {n.id: [] for n in self.nodes}
-        for link in self.links:
-            self._adjacency[link.a].append((link.b, link))
-            self._adjacency[link.b].append((link.a, link))
-        for nbrs in self._adjacency.values():
-            nbrs.sort(key=lambda pair: pair[0])
 
     def node(self, node_id: NodeId) -> Node:
         return self.nodes[node_id]
@@ -178,10 +171,6 @@ class Topology:
 
     def by_kind(self, kind: NodeKind) -> list[Node]:
         return [n for n in self.nodes if n.kind is kind]
-
-    def neighbors(self, node_id: NodeId) -> list[tuple[NodeId, Link]]:
-        """Adjacent (node, link) pairs, sorted by neighbour id."""
-        return self._adjacency[node_id]
 
     def host_ids(self) -> list[NodeId]:
         return [n.id for n in self.by_kind(NodeKind.UE_HOST)]

@@ -1,6 +1,8 @@
 """Network runtime: packet forwarding over queued links with inline security.
 
-Packets travel their controller-computed route hop by hop.  Each link
+Traffic runs between hosts and servers only, each at the end of its own
+link to the star's switch, so every packet travels two hops: up its
+source's link to the switch, then down its destination's link.  Each link
 direction is a store-and-forward queue: one transmission at a time, service
 time from the packet size and link bandwidth, propagation delay added after
 serialisation, arrivals beyond the queue capacity (packets waiting, not the
@@ -18,12 +20,12 @@ one in service) dropped.  A link direction takes one of two forms:
   finds the server idle is scheduled straight to its next hop.
 
 Both forms keep one tie rule: a departure at ``t`` frees its slot before an
-arrival at ``t`` is admitted or a monitor tick at ``t`` reads the queue,
-whatever order the events were scheduled in.  With a single band the two
-forms therefore admit, drop and time the packets of one link alike.  They
-may still dispatch arrivals from different links that share a microsecond
-in another order, as the FIFO form schedules each arrival earlier; where
-that order matters, the two forms give different runs.
+arrival at ``t`` is admitted, whatever order the events were scheduled in.
+With a single band the two forms therefore admit, drop and time the
+packets of one link alike.  They may still dispatch arrivals from
+different links that share a microsecond in another order, as the FIFO
+form schedules each arrival earlier; where that order matters, the two
+forms give different runs.
 
 A run is ``start``, one ``advance`` per slice of offered traffic from
 ``traffic.offered_chunks`` and ``finish``; ``run_cells`` takes several
@@ -33,9 +35,8 @@ the engine hands it to ``inject`` at its creation time, after every event
 of that microsecond.  A response enters through ``inject`` from an event
 and takes the cell's next id of -1, -2, ...
 
-Traffic runs between hosts and servers only, so every route is
-``(src, switch, dst)`` and only the switch takes an arrival event.  When
-a hop is handed on (``_hop``) at its arrival time ``at``:
+Only the switch takes an arrival event.  When a hop is handed on
+(``_hop``) at its arrival time ``at``:
 
 - a hop to the switch schedules the arrival there;
 - a last hop to the destination needs no event: when ``at`` is within the
@@ -72,8 +73,7 @@ microseconds:
 - ``("mem", t, mb)``: the memory gauge at a monitor tick;
 - ``("detect", t, flow, latency_us)``: a hostile flow's first drop rule,
   ``latency_us`` after the flow's first packet;
-- ``("rule_install", t, src, dst, tag, reason)``: a drop rule for that flow;
-- ``("reroute", t, src, dst, path)``: congestion moved a flow.
+- ``("rule_install", t, src, dst, tag, reason)``: a drop rule for that flow.
 """
 
 from __future__ import annotations
@@ -104,8 +104,8 @@ IDS_KB_PER_SOURCE = 4.0
 RULE_KB = 0.5
 
 
-#: A packet in transit: the packet, its route and the index of its current node.
-Transit = tuple[Packet, tuple[NodeId, ...], int]
+#: A packet in transit and its hop: 0 up to the switch, 1 down from it.
+Transit = tuple[Packet, int]
 
 
 class FifoQueue:
@@ -122,18 +122,9 @@ class FifoQueue:
         self.free_at: SimTime = 0
         self.waiting: deque[SimTime] = deque()
 
-    def _prune(self, t: SimTime) -> None:
-        waiting = self.waiting
-        while waiting and waiting[0] <= t:
-            waiting.popleft()
-
-    def occupancy(self, t: SimTime) -> float:
-        self._prune(t)
-        return len(self.waiting) / self.link.queue_capacity
-
     def enqueue(self, size: int, t: SimTime) -> SimTime | None:
         """Queue a packet at ``t``: its departure time, or None when it is dropped."""
-        # ``_prune`` and ``service_time_us``, inlined on the per-hop path.
+        # ``service_time_us``, inlined on the per-hop path.
         waiting = self.waiting
         while waiting and waiting[0] <= t:
             waiting.popleft()
@@ -165,12 +156,6 @@ class QosQueue:
     def __len__(self) -> int:
         return len(self.hi) + len(self.lo)
 
-    def occupancy(self, t: SimTime) -> float:
-        waiting = len(self)
-        if waiting and self.finish == t:
-            waiting -= 1  # the next packet enters service now
-        return waiting / self.link.queue_capacity
-
 
 def service_time_us(size_bytes: int, bandwidth_bps: int) -> int:
     """Serialisation delay of one packet, rounded up to whole microseconds."""
@@ -187,7 +172,9 @@ class RunResult:
     events_processed: int
     event_hash: str
     rules_installed: int
-    reroutes: int
+    # Always 0: a star has no path to move a flow to.  Kept as a summary
+    # column, which the benchmark reads.
+    reroutes: int = 0
     trace: list[tuple] | None = None
 
 
@@ -229,11 +216,15 @@ class NetworkSim:
         self._rec_block = self._recorder("block")
         self._rec_cost = self._recorder("cost")
 
+        # Each endpoint's link to the switch queues each direction on its
+        # own: up to the switch and down from it.
         queue = QosQueue if self.qos_priority else FifoQueue
-        self._queues: dict[tuple[NodeId, NodeId], FifoQueue | QosQueue] = {}
+        self._up: dict[NodeId, FifoQueue | QosQueue] = {}
+        self._down: dict[NodeId, FifoQueue | QosQueue] = {}
         for link in topology.links:
-            self._queues[(link.a, link.b)] = queue(link)
-            self._queues[(link.b, link.a)] = queue(link)
+            end = link.a if topology.node(link.b).kind is NodeKind.SWITCH else link.b
+            self._up[end] = queue(link)
+            self._down[end] = queue(link)
 
         self._responses = 0  # responses injected so far; the n-th has id -n
         self._first_threat_emit: dict[Flow, int] = {}
@@ -278,11 +269,11 @@ class NetworkSim:
         self._rec_emit(now, packet)
         if packet.cls is PacketClass.THREAT:
             self._first_threat_emit.setdefault(packet.flow, packet.created_at)
-        self._transmit((packet, self.controller.route(packet.src, packet.dst), 0), now)
+        self._transmit((packet, 0), now)
 
     def _transmit(self, transit: Transit, t: SimTime) -> None:
-        packet, route, hop = transit
-        q = self._queues[(route[hop], route[hop + 1])]
+        packet, hop = transit
+        q = self._down[packet.dst] if hop else self._up[packet.src]
         if self.qos_priority:
             self._enqueue_qos(q, transit, t)
             return
@@ -293,10 +284,10 @@ class NetworkSim:
             self._hop(transit, finish + q.link.latency_us)
 
     def _hop(self, transit: Transit, at: SimTime) -> None:
-        """Hand a packet to the next node of its route at ``at``: an arrival
-        event at the switch, else its delivery, recorded now."""
-        packet, route, hop = transit
-        if route[hop + 1] != packet.dst:
+        """Hand a packet on at ``at``: an arrival event at the switch after
+        its first hop, else its delivery, recorded now."""
+        packet, hop = transit
+        if not hop:
             self.engine.schedule(at, EventKind.PACKET_ARRIVAL, self._on_arrival, transit)
         elif at > self._duration_us:
             self._late_hops += 1
@@ -343,9 +334,9 @@ class NetworkSim:
             self._start_next(q, t)
 
     def _on_arrival(self, t: SimTime, transit: Transit) -> None:
-        packet, route, hop = transit
+        packet = transit[0]
         if self._admit(packet, t):
-            self._transmit((packet, route, hop + 1), t)
+            self._transmit((packet, 1), t)
 
     # ------------------------------------------------------------------
     # security enforcement
@@ -407,13 +398,6 @@ class NetworkSim:
 
     def _on_monitor_tick(self, t: SimTime, _payload) -> None:
         self._record(("mem", t, self._memory_mb(t)))
-        for link in self.topology.links:
-            a, b = link.a, link.b
-            occupancy = max(
-                self._queues[(a, b)].occupancy(t), self._queues[(b, a)].occupancy(t)
-            )
-            for src, dst, path in self.controller.handle_congestion((a, b), occupancy):
-                self._record(("reroute", t, src, dst, "-".join(map(str, path))))
         nxt = t + self.monitor_interval_us
         if nxt < self._duration_us:
             self.engine.schedule(nxt, EventKind.MONITOR_SAMPLE, self._on_monitor_tick)
@@ -472,13 +456,14 @@ class NetworkSim:
             events_processed=self.engine.processed,
             event_hash=self.engine.event_hash(),
             rules_installed=self.controller.rules_installed,
-            reroutes=self.controller.reroutes,
             trace=self.trace,
         )
 
     def _check_conservation(self, in_flight: int) -> None:
         """Raise unless the packets in flight are exactly those still held."""
-        waiting = sum(len(q) for q in self._queues.values() if isinstance(q, QosQueue))
+        waiting = sum(
+            len(q) for qs in (self._up, self._down) for q in qs.values() if isinstance(q, QosQueue)
+        )
         held = self._late_hops + self.engine.pending(EventKind.PACKET_ARRIVAL) + waiting
         if in_flight != held:
             raise RuntimeError(f"packet conservation: {in_flight} in flight, {held} held")

@@ -26,14 +26,10 @@ from vnfsdnsim.metrics import (
     unauthorized_block_rate,
 )
 from vnfsdnsim.model import (
-    Link,
-    Node,
-    NodeKind,
     Packet,
     PacketClass,
     StarSpec,
     ThreatKind,
-    Topology,
     build_topology,
 )
 from vnfsdnsim.runtime import NetworkSim
@@ -343,49 +339,7 @@ def test_capture_round_trip_at_volume(tmp_path):
     stamp("capture round trip", f"{n} packets, zero diffs ({elapsed:.2f}s)")
 
 
-def test_routing_oracle_and_rule_blackholing():
-    # --- routes against exhaustive search on random meshes
-    rng = random.Random(777)
-    routed = 0
-    for _ in range(200):
-        n = rng.randint(3, 8)
-        edges = set()
-        for i in range(1, n):
-            edges.add((rng.randrange(i), i))
-        for _ in range(n):
-            a, b = rng.sample(range(n), 2)
-            edges.add((min(a, b), max(a, b)))
-        nodes = [Node(i, NodeKind.SWITCH, f"n{i}") for i in range(n)]
-        links = [Link(a, b, rng.randint(1, 12), 1_000_000, 16) for a, b in edges]
-        topology = Topology(nodes, links)
-        controller = Controller(topology)
-
-        def paths(src, dst):
-            found = []
-
-            def walk(path, cost, seen):
-                node = path[-1]
-                if node == dst:
-                    found.append((cost, tuple(path)))
-                    return
-                for nbr, link in topology.neighbors(node):
-                    if nbr not in seen:
-                        walk(path + [nbr], cost + link.latency_us, seen | {nbr})
-
-            walk([src], 0, {src})
-            return found
-
-        for _ in range(3):
-            src, dst = rng.sample(range(n), 2)
-            got = controller.compute_route(src, dst)
-            cost = sum(
-                next(l.latency_us for nbr, l in topology.neighbors(got[i])
-                     if nbr == got[i + 1])
-                for i in range(len(got) - 1)
-            )
-            assert (cost, got) == min(paths(src, dst))
-            routed += 1
-
+def test_rule_blackholing():
     # --- a blocked flow delivers nothing while its rule lives, and
     #     delivery resumes once the rule idles out
     topology = build_topology(StarSpec(hosts=2))
@@ -418,6 +372,5 @@ def test_routing_oracle_and_rule_blackholing():
     lapsed_at = rule.last_match + 200_001
     assert rule.last_match == blocked[-1][1] and lapsed_at < 1_500_308
     assert not rule.active(lapsed_at) and rule.active(lapsed_at - 1)
-    stamp("routing oracle + blackholing",
-          f"{routed} routes matched exhaustive search; blocked flow resumed "
-          f"only after its rule lapsed at t={lapsed_at}us")
+    stamp("blackholing",
+          f"blocked flow resumed only after its rule lapsed at t={lapsed_at}us")

@@ -1,12 +1,13 @@
 """Properties of every run over random small star configurations.
 
-Each example is a config tree read by ``from_dict``: 1-6 hosts, 1-3
-simulated seconds, random link capacities, benign, DDoS and access
-profiles with random rates, and two or more security labels.  Every cell
-must pass the runtime's packet-conservation check, its collected trace
-must roll up to the live report, and every label must be offered the same
-packets.  A rerun of a cell must repeat it exactly, and a scenario's
-emitted files must read back to the result they were written from.
+Each example is a config tree read by ``from_dict``: 1-6 hosts, 1-2
+servers, 1-3 simulated seconds, random link capacities (one host's access
+link may differ from the rest), benign, DDoS and access profiles with
+random rates, and two or more security labels.  Every cell must pass the
+runtime's packet-conservation check, its collected trace must roll up to
+the live report, and every label must be offered the same packets.  A
+rerun of a cell must repeat it exactly, and a scenario's emitted files
+must read back to the result they were written from.
 """
 
 import tempfile
@@ -32,6 +33,8 @@ LABELS = (*KNOWN_LABELS, "profile-p", "profile-q")
 def star_configs(draw):
     hosts = draw(st.integers(1, 6))
     host_names = [f"host{i}" for i in range(hosts)]
+    servers = draw(st.integers(1, 2))
+    server_names = [f"server{j}" for j in range(servers)]
     rate = partial(st.floats, allow_nan=False, allow_infinity=False)
     rate_or_off = st.one_of(st.just(0.0), rate(min_value=1e-6, max_value=20))
     duration = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
@@ -39,9 +42,10 @@ def star_configs(draw):
     size = st.fixed_dictionaries({"lo": st.integers(64, 800), "hi": st.integers(800, 1500)})
 
     def benign(i):
-        dst = draw(st.sampled_from(["server0", *host_names]))
+        dst = draw(st.sampled_from([*server_names, *host_names]))
         return {
-            "name": f"b{i}", "dst": dst, "sources": "all_hosts" if dst == "server0" else ["server0"],
+            "name": f"b{i}", "dst": dst,
+            "sources": "all_hosts" if dst in server_names else ["server0"],
             "rate_pps": draw(rate(min_value=1, max_value=150)), "size": draw(size),
             "tag": draw(st.sampled_from(["gold", "silver"])),
             "request_fraction": draw(st.sampled_from([0.0, 0.2, 1.0])),
@@ -50,7 +54,7 @@ def star_configs(draw):
         }
 
     ddos = [{
-        "name": "d", "target": draw(st.sampled_from(["server0", *host_names])),
+        "name": "d", "target": draw(st.sampled_from([*server_names, *host_names])),
         "threat_kind": draw(st.sampled_from([k.value for k in ThreatKind])),
         "tag": "flood", "rate_multiplier": draw(rate(min_value=1, max_value=20)),
         "window": {"start_s": draw(start), "stop_s": duration},
@@ -65,11 +69,19 @@ def star_configs(draw):
         "duration_s": duration,
         "window_s": draw(st.sampled_from([0.25, 0.5, 1.0])),
         "monitor_interval_s": 0.5,
-        "topology": {"hosts": hosts, "trunk": {
+        "topology": {"hosts": hosts, "servers": servers, "trunk": {
             "latency_us": 800,
             "bandwidth_bps": draw(st.sampled_from([1_000_000, 1_000_000_000])),
             "queue_capacity": draw(st.integers(2, 16)),
-        }},
+        }, "per_host_access": draw(st.dictionaries(
+            st.sampled_from([str(i) for i in range(hosts)]),
+            st.fixed_dictionaries({
+                "latency_us": st.just(300),
+                "bandwidth_bps": st.sampled_from([1_000_000, 10_000_000]),
+                "queue_capacity": st.integers(2, 16),
+            }),
+            max_size=1,
+        ))},
         "policy": {"accepted_tags": ["gold"]},
         "controller": {"drop_idle_timeout_s": draw(st.sampled_from([0.05, 30.0]))},
         "security": {

@@ -1,8 +1,9 @@
 """Dataplane behaviour pinned against hand-computed store-and-forward
 timings: queueing, overflow, the departure-before-arrival tie rule on both
-queue paths, benign-first push-out, rule-enforced blackholing until idle
-expiry, detection timing, the conservation check, and agreement between
-the live aggregator and an offline trace rollup.
+queue paths, one queue per direction of a link, benign-first push-out,
+rule-enforced blackholing until idle expiry, detection timing, the
+conservation check, and agreement between the live aggregator and an
+offline trace rollup.
 
 The default star wiring puts host0/host1 at ids 0/1, the switch at 2 and
 server0 at 3; access links run at 1 Gbps + 300 us, so a 1000-byte packet
@@ -166,22 +167,22 @@ def test_a_departure_frees_its_slot_before_an_arrival_at_the_same_microsecond(
 
 
 @pytest.mark.parametrize("qos", [False, True], ids=["fifo", "qos"])
-def test_occupancy_counts_a_departure_at_the_same_microsecond_as_gone(qos):
-    sim = make_sim(trunk=SLOW_TRUNK, access=FAR_ACCESS, vnfs=[qos_profile()] if qos else [])
-    switch, server = sim.topology.by_name("switch0").id, sim.topology.by_name("server0").id
-    trunk = sim._queues[(switch, server)]
-    seen = {}
-    # Probes scheduled before the run go ahead of every packet event at
-    # their microsecond, as a monitor tick does.
-    for t in (18_007, 18_008):
-        sim.engine.schedule(
-            t, EventKind.MONITOR_SAMPLE, lambda now, _: seen.setdefault(now, trunk.occupancy(now))
-        )
-    # as above: packet 0 in trunk service until 18_008, packets 1 and 2 waiting
-    for pid in range(3):
-        inject_at(sim, 0, pid=pid)
+def test_each_direction_of_a_link_queues_on_its_own(qos):
+    # host0's own link runs at 1 Mbps: a 1000-byte packet serialises in 8000 us
+    slow = LinkParams(latency_us=300, bandwidth_bps=1_000_000, queue_capacity=64)
+    sim = make_sim(per_host_access={0: slow}, vnfs=[qos_profile()] if qos else [])
+    server = sim.topology.by_name("server0").id
+    inject_at(sim, 0, pid=1, src=0, dst=server)
+    inject_at(sim, 0, pid=2, src=server, dst=0)
+    inject_at(sim, 0, pid=3, src=1, dst=0)
     sim.run(0.05)
-    assert seen == {18_007: 1.0, 18_008: 0.5}
+    # packet 1 holds host0's uplink until 8000 and reaches the switch at
+    # 8300; packet 3 reaches it at 308 and takes host0's idle downlink at
+    # once, 8000 + 300 later; packet 2, at the switch at 880, waits
+    # behind packet 3 on that downlink until 8308
+    assert sorted((r[2].id, r[1]) for r in recs(sim, "deliver")) == [
+        (1, 9180), (2, 16608), (3, 8608)
+    ]
 
 
 @pytest.mark.parametrize("qos", [False, True], ids=["fifo", "qos"])
