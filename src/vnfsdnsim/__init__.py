@@ -1,8 +1,8 @@
 """Deterministic discrete-event simulator of an SDN-controlled network
 guarded by a chain of virtual network functions.
 
-The public surface: build a topology, choose a security configuration,
-run it with traffic profiles — or use the canned evaluation scenarios and the
+The public surface: describe a star of hosts and servers, choose a security
+configuration, run it with traffic profiles — or use the canned evaluation scenarios and the
 ``vnfsdnsim`` command-line tool.
 """
 
@@ -39,8 +39,6 @@ from .model import (
     SecurityPolicy,
     StarSpec,
     ThreatKind,
-    Topology,
-    build_topology,
 )
 from .runtime import NetworkSim, RunResult
 from .scenarios import (

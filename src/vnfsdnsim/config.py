@@ -24,15 +24,7 @@ from importlib import resources
 from types import UnionType
 from typing import Literal, Union, get_args, get_origin, get_type_hints
 
-from .model import (
-    SPAN,
-    NodeKind,
-    RangeError,
-    SecurityPolicy,
-    StarSpec,
-    build_topology,
-    require,
-)
+from .model import SPAN, RangeError, SecurityPolicy, StarSpec, require
 from .sdn import ControllerSettings
 from .traffic import AccessProfile, BenignProfile, DdosProfile, SizeDist
 from .vnf import FirewallRule, IdsSettings, ProfileSettings
@@ -222,19 +214,19 @@ def _describe(tp) -> str:
 def from_dict(tree: dict) -> ScenarioConfig:
     """Validate a configuration tree and build the typed view of it.
 
-    The star is built once, at the smallest sweep point, to resolve every
-    node name the tree uses; traffic must run between hosts and servers.
+    Every node name the tree uses must name a node of the star at its
+    smallest sweep point; traffic must run between hosts and servers.
     """
     cfg = _build(ScenarioConfig, tree, "")
     object.__setattr__(cfg, "raw", tree)
     hosts = cfg.sweep.hosts[0] if cfg.sweep.hosts else cfg.topology.hosts
-    topology = build_topology(replace(cfg.topology, hosts=hosts))
+    ids = replace(cfg.topology, hosts=hosts).ids
     for idx in cfg.topology.per_host_access:
         if not 0 <= idx < hosts:
             raise ConfigError(f"topology.per_host_access.{idx}: host index not in 0..{hosts - 1}")
     refs = [(f"security.firewall_rules.{i}.{key}", getattr(rule, key))
             for i, rule in enumerate(cfg.security.firewall_rules) for key in ("src", "dst")]
-    every_host = tuple(node.name for node in topology.by_kind(NodeKind.UE_HOST))
+    every_host = tuple(ids)[:hosts]
     for kind in ("benign", "ddos", "access"):
         src_key, dst_key = ("attackers", "target") if kind == "ddos" else ("sources", "dst")
         for i, profile in enumerate(getattr(cfg.traffic, kind)):
@@ -245,12 +237,11 @@ def from_dict(tree: dict) -> ScenarioConfig:
                 raise ConfigError(f"{path}.{src_key}: includes the {dst_key} {dst!r}")
             refs.append((f"{path}.{dst_key}", dst))
             refs += [(f"{path}.{src_key}.{j}", n) for j, n in enumerate(senders)]
-    kinds = {node.name: node.kind for node in topology.nodes}
     for path, name in refs:
-        if name is not None and name not in kinds:
+        if name is not None and name not in ids:
             raise ConfigError(f"{path}: no node named {name!r}")
         # Traffic runs between endpoints: every route is (src, switch, dst).
-        if path.startswith("traffic.") and kinds[name] not in (NodeKind.UE_HOST, NodeKind.SERVER):
+        if path.startswith("traffic.") and name == "switch0":
             raise ConfigError(f"{path}: {name!r} is not a host or a server")
     return cfg
 

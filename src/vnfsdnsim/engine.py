@@ -94,7 +94,6 @@ class SimEngine:
         # (time, seq, kind, fn, payload); ``seq`` breaks ties between equal times.
         self._heap: list[tuple[SimTime, int, EventKind, Callable[[SimTime, Any], None], Any]] = []
         self._seq = 0
-        self._streams: dict[str, RngStream] = {}
         self._processed = 0
         self._hasher = hashlib.sha256()
         self._hash_buf: list[bytes] = []
@@ -172,21 +171,6 @@ class SimEngine:
         self._now = t
         self._processed += n
         return n
-
-    # ------------------------------------------------------------------
-    # randomness
-
-    def register_stream(self, name: str) -> RngStream:
-        """Create (or return the existing) stream with this name.
-
-        Re-registering never resets an existing stream: draw counters are
-        part of the reproducibility contract.
-        """
-        stream = self._streams.get(name)
-        if stream is None:
-            stream = RngStream(self.seed, name)
-            self._streams[name] = stream
-        return stream
 
     def _flush_hash(self) -> None:
         self._hasher.update(b"".join(self._hash_buf))

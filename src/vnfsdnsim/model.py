@@ -1,6 +1,6 @@
-"""Domain model: nodes, links, packets, policies and topology construction.
+"""Domain model: packets, policies, link ratings and the star topology.
 
-Node identifiers are dense integers assigned in declaration order (a star's
+Node identifiers are dense integers assigned in a fixed order (a star's
 hosts, then its switch, then its servers), which keeps output ordering
 stable across runs.  The controller is not a node.
 """
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable
 
 NodeId = int
@@ -43,34 +44,6 @@ def require(obj, accepted: tuple[str, Callable[[float], bool]], *keys: str) -> N
         value = getattr(obj, key)
         if not ok(value):
             raise RangeError(f"{key} must be {text}, got {value!r}")
-
-
-class NodeKind(Enum):
-    UE_HOST = "ue_host"
-    SWITCH = "switch"
-    SERVER = "server"
-
-
-@dataclass(frozen=True)
-class Node:
-    id: NodeId
-    kind: NodeKind
-    name: str
-
-
-@dataclass(frozen=True)
-class Link:
-    """Undirected cable between two nodes.
-
-    Each direction gets its own transmission queue at runtime; the ratings
-    below apply per direction.
-    """
-
-    a: NodeId
-    b: NodeId
-    latency_us: int
-    bandwidth_bps: int
-    queue_capacity: int
 
 
 class PacketClass(Enum):
@@ -154,34 +127,10 @@ class SecurityPolicy:
 # topology
 
 
-@dataclass
-class Topology:
-    nodes: list[Node]
-    links: list[Link]
-    _by_name: dict[str, Node] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self._by_name = {n.name: n for n in self.nodes}
-
-    def node(self, node_id: NodeId) -> Node:
-        return self.nodes[node_id]
-
-    def by_name(self, name: str) -> Node:
-        return self._by_name[name]
-
-    def by_kind(self, kind: NodeKind) -> list[Node]:
-        return [n for n in self.nodes if n.kind is kind]
-
-    def host_ids(self) -> list[NodeId]:
-        return [n.id for n in self.by_kind(NodeKind.UE_HOST)]
-
-
-# ----------------------------------------------------------------------
-# topology specs
-
-
 @dataclass(frozen=True)
 class LinkParams:
+    """The ratings of one link; each direction queues on its own at runtime."""
+
     latency_us: int
     bandwidth_bps: int
     queue_capacity: int
@@ -199,9 +148,12 @@ DEFAULT_TRUNK = LinkParams(latency_us=800, bandwidth_bps=100_000_000, queue_capa
 class StarSpec:
     """Hosts fanned into one switch, which uplinks to the server(s).
 
+    Node ids run over the hosts ``0..hosts-1`` (``host<i>``), then the
+    switch (``switch0``), then the servers (``server<j>``).  Every host and
+    server is joined to the switch by a link of its own.
     ``per_host_access`` overrides the access link of individual hosts by
     index, which is how asymmetric last-hop capacity (e.g. a throttled
-    victim downlink) is described.
+    victim downlink) is described.  The range checks make every star valid.
     """
 
     hosts: int
@@ -213,19 +165,16 @@ class StarSpec:
     def __post_init__(self) -> None:
         require(self, POSITIVE, "hosts", "servers")
 
+    @cached_property
+    def ids(self) -> dict[str, NodeId]:
+        """Every node's id by name, in id order."""
+        names = [f"host{i}" for i in range(self.hosts)] + ["switch0"]
+        names += [f"server{j}" for j in range(self.servers)]
+        return {name: i for i, name in enumerate(names)}
 
-def build_topology(spec: StarSpec) -> Topology:
-    """Materialise a star; its spec's range checks make it valid by construction."""
-
-    def link(a: NodeId, b: NodeId, params: LinkParams) -> Link:
-        return Link(a, b, params.latency_us, params.bandwidth_bps, params.queue_capacity)
-
-    hosts = [Node(i, NodeKind.UE_HOST, f"host{i}") for i in range(spec.hosts)]
-    switch = Node(spec.hosts, NodeKind.SWITCH, "switch0")
-    first = spec.hosts + 1
-    servers = [Node(first + j, NodeKind.SERVER, f"server{j}") for j in range(spec.servers)]
-    links = [link(h.id, switch.id, spec.per_host_access.get(h.id, spec.access)) for h in hosts]
-    links += [link(switch.id, server.id, spec.trunk) for server in servers]
-    return Topology([*hosts, switch, *servers], links)
-
-
+    def links(self) -> dict[NodeId, LinkParams]:
+        """Each host's and server's link to the switch, by its id."""
+        links = {i: self.per_host_access.get(i, self.access) for i in range(self.hosts)}
+        first = self.hosts + 1
+        links.update((first + j, self.trunk) for j in range(self.servers))
+        return links

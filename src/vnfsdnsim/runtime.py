@@ -85,15 +85,7 @@ from typing import Callable, Iterable
 
 from .engine import EventKind, SimEngine, SimTime, US_PER_S, seconds
 from .metrics import KpiReport, WindowAggregator
-from .model import (
-    Flow,
-    Link,
-    NodeId,
-    NodeKind,
-    Packet,
-    PacketClass,
-    Topology,
-)
+from .model import Flow, LinkParams, NodeId, Packet, PacketClass, StarSpec
 from .sdn import Controller, FlowRule
 from .traffic import AccessProfile, BenignProfile, DdosProfile, offered_chunks
 from .vnf import CaptureVnf, MitigationProfile, VnfChain
@@ -117,7 +109,7 @@ class FifoQueue:
 
     __slots__ = ("link", "free_at", "waiting")
 
-    def __init__(self, link: Link):
+    def __init__(self, link: LinkParams):
         self.link = link
         self.free_at: SimTime = 0
         self.waiting: deque[SimTime] = deque()
@@ -145,7 +137,7 @@ class QosQueue:
 
     __slots__ = ("link", "hi", "lo", "finish")
 
-    def __init__(self, link: Link):
+    def __init__(self, link: LinkParams):
         self.link = link
         self.hi: deque[Transit] = deque()
         self.lo: deque[Transit] = deque()
@@ -183,7 +175,7 @@ class NetworkSim:
 
     def __init__(
         self,
-        topology: Topology,
+        topology: StarSpec,
         engine: SimEngine,
         controller: Controller,
         chain: VnfChain,
@@ -221,8 +213,7 @@ class NetworkSim:
         queue = QosQueue if self.qos_priority else FifoQueue
         self._up: dict[NodeId, FifoQueue | QosQueue] = {}
         self._down: dict[NodeId, FifoQueue | QosQueue] = {}
-        for link in topology.links:
-            end = link.a if topology.node(link.b).kind is NodeKind.SWITCH else link.b
+        for end, link in topology.links().items():
             self._up[end] = queue(link)
             self._down[end] = queue(link)
 
@@ -232,12 +223,6 @@ class NetworkSim:
         self._duration_s = 0.0
         self._duration_us: SimTime = 0
         self._late_hops = 0  # last hops that arrive after the horizon
-        # KPIs are reported over the endpoints, not the infrastructure.
-        self._device_ids = [
-            n.id
-            for n in topology.nodes
-            if n.kind in (NodeKind.UE_HOST, NodeKind.SERVER)
-        ]
 
     # ------------------------------------------------------------------
     # trace plumbing
@@ -445,7 +430,8 @@ class NetworkSim:
         """Run to the horizon, fold the KPI report, raise if a packet in
         flight is not held anywhere, and save the capture."""
         self.engine.run_until(self._duration_us)
-        report = self.aggregator.finalize(self._duration_us, len(self._device_ids))
+        # KPIs are reported over the endpoints, one per link, not the switch.
+        report = self.aggregator.finalize(self._duration_us, len(self._up))
         self._check_conservation(report.counters.in_flight())
         if self.capture is not None and self.capture.monitoring:
             self.capture.stop_and_save()

@@ -1,6 +1,6 @@
 """Scenario orchestration and result emission.
 
-Six canned evaluations share one execution path: build the topology, wire
+Six canned evaluations share one execution path: size the star, wire
 a security configuration (an ordered function chain plus controller
 settings), run the scenario's traffic profiles through it, and fold KPIs.
 Every security configuration of a scenario runs under the same seed, and
@@ -38,7 +38,7 @@ from .config import (
     canonical_json,
     load_tree,
 )
-from .engine import SimEngine
+from .engine import RngStream, SimEngine
 from .metrics import (
     AnalyticParams,
     Hypothesis1Result,
@@ -47,7 +47,7 @@ from .metrics import (
     WindowRow,
     check_hypothesis1,
 )
-from .model import POSITIVE, build_topology, require
+from .model import POSITIVE, StarSpec, require
 from .runtime import NetworkSim, RunResult, run_cells
 from .sdn import Controller
 from .vnf import (
@@ -86,8 +86,7 @@ class UnsupportedVersion(Exception):
 def build_chain(
     label: str,
     cfg: ScenarioConfig,
-    engine: SimEngine,
-    topology,
+    topology: StarSpec,
     capture_folder: Path | None,
 ) -> tuple[VnfChain, CaptureVnf | None]:
     """Realise a security-config label as (chain, capture tap)."""
@@ -105,11 +104,11 @@ def build_chain(
             vnfs.append(FirewallVnf(sec.firewall_rules, topology))
         vnfs.append(IdsVnf(sec.ids))
         if sec.capture and capture_folder is not None:
-            capture = CaptureVnf(capture_folder, engine.seed)
+            capture = CaptureVnf(capture_folder, cfg.seed)
         return VnfChain(vnfs), capture
     if label.startswith(PROFILE_PREFIX):
         name = label[len(PROFILE_PREFIX):]
-        rng = engine.register_stream(f"profile/{name}")
+        rng = RngStream(cfg.seed, f"profile/{name}")
         return VnfChain([MitigationProfile(name, sec.profiles[name], rng)]), None
     raise ConfigError(f"unknown security config {label!r}")
 
@@ -122,18 +121,15 @@ def _build_sim(
     cfg: ScenarioConfig, label: str, hosts: int | None, out_dir: str | Path | None
 ) -> NetworkSim:
     """Wire one (security config, topology size) cell of a scenario."""
-    star = cfg.topology if hosts is None else replace(cfg.topology, hosts=hosts)
-    topology = build_topology(star)
-    engine = SimEngine(cfg.seed)
+    topology = cfg.topology if hosts is None else replace(cfg.topology, hosts=hosts)
     capture_folder = None
     if out_dir is not None:
         capture_folder = Path(out_dir) / "captures" / f"s{cfg.scenario}_{label}"
-    chain, capture = build_chain(label, cfg, engine, topology, capture_folder)
-    controller = Controller(topology, cfg.controller)
+    chain, capture = build_chain(label, cfg, topology, capture_folder)
     return NetworkSim(
         topology,
-        engine,
-        controller,
+        SimEngine(cfg.seed),
+        Controller(topology, cfg.controller),
         chain,
         capture=capture,
         window_s=cfg.window_s,

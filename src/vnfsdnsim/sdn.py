@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .engine import seconds
-from .model import NON_NEGATIVE, POSITIVE, Flow, NodeId, Packet, Topology, require
+from .model import NON_NEGATIVE, POSITIVE, Flow, NodeId, Packet, StarSpec, require
 from .vnf import Verdict
 
 
@@ -52,7 +52,7 @@ class Controller:
 
     def __init__(
         self,
-        topology: Topology,
+        topology: StarSpec,
         settings: ControllerSettings = ControllerSettings(),
     ):
         self.topology = topology
@@ -112,7 +112,7 @@ class Controller:
 
     def route(self, src: NodeId, dst: NodeId) -> tuple[NodeId, ...]:
         """The one path between two endpoints of the star: through its switch."""
-        return (src, self.topology.by_name("switch0").id, dst)
+        return (src, self.topology.ids["switch0"], dst)
 
     def handle_congestion(
         self, link_nodes: tuple[NodeId, NodeId], occupancy: float

@@ -34,8 +34,8 @@ from .model import (
     NodeId,
     Packet,
     PacketClass,
+    StarSpec,
     ThreatKind,
-    Topology,
     require,
 )
 
@@ -137,11 +137,11 @@ NAMED_ONCE = (
 )
 
 
-def _endpoints(topology: Topology, names: tuple[str, ...] | str) -> list[tuple[str, NodeId]]:
+def _endpoints(topology: StarSpec, names: tuple[str, ...] | str) -> list[tuple[str, NodeId]]:
     """(name, id) of every host for ``"all_hosts"``, else of each named node."""
     if names == "all_hosts":
-        return [(topology.node(i).name, i) for i in topology.host_ids()]
-    return [(name, topology.by_name(name).id) for name in names]
+        return list(topology.ids.items())[: topology.hosts]
+    return [(name, topology.ids[name]) for name in names]
 
 
 @dataclass(frozen=True)
@@ -175,9 +175,9 @@ class BenignProfile:
         text, legal = PACKET_SIZE
         require(self, (f"0 or {text}", lambda n: n == 0 or legal(n)), "response_size")
 
-    def streams(self, topology: Topology) -> list[PacketStream]:
+    def streams(self, topology: StarSpec) -> list[PacketStream]:
         """One stream per source."""
-        dst = topology.by_name(self.dst).id
+        dst = topology.ids[self.dst]
         return [
             PacketStream(
                 f"benign/{self.name}/{name}", self.rate_pps, self.window, src, dst,
@@ -217,9 +217,9 @@ class DdosProfile:
     def rate_pps_per_attacker(self) -> float:
         return self.rate_multiplier * self.base_rate_pps
 
-    def streams(self, topology: Topology) -> list[PacketStream]:
+    def streams(self, topology: StarSpec) -> list[PacketStream]:
         """One stream per attacker."""
-        target = topology.by_name(self.target).id
+        target = topology.ids[self.target]
         named = self.attackers != "all_but_target"
         attackers = _endpoints(topology, self.attackers if named else "all_hosts")
         return [
@@ -252,9 +252,9 @@ class AccessProfile:
         require(self, RATE, "authorized_pps", "unauthorized_pps")
         require(self, NAMED_ONCE, "sources")
 
-    def streams(self, topology: Topology) -> list[PacketStream]:
+    def streams(self, topology: StarSpec) -> list[PacketStream]:
         """An authorised and an unauthorised stream per source."""
-        dst = topology.by_name(self.dst).id
+        dst = topology.ids[self.dst]
         kinds = (
             ("authorized", self.authorized_pps, PacketClass.BENIGN, self.authorized_tag),
             ("unauthorized", self.unauthorized_pps, PacketClass.UNAUTHORIZED_ACCESS,

@@ -39,8 +39,8 @@ from .model import (
     Packet,
     PacketClass,
     SecurityPolicy,
+    StarSpec,
     ThreatKind,
-    Topology,
     require,
 )
 
@@ -128,9 +128,9 @@ class FirewallVnf:
 
     cost_us = 1
 
-    def __init__(self, rules: Iterable[FirewallRule], topology: Topology):
+    def __init__(self, rules: Iterable[FirewallRule], topology: StarSpec):
         def node_id(name: str | None) -> int | None:
-            return None if name is None else topology.by_name(name).id
+            return None if name is None else topology.ids[name]
 
         # (allow, src id, dst id, protocol) per rule
         self._table = [

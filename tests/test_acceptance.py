@@ -30,7 +30,6 @@ from vnfsdnsim.model import (
     PacketClass,
     StarSpec,
     ThreatKind,
-    build_topology,
 )
 from vnfsdnsim.runtime import NetworkSim
 from vnfsdnsim.scenarios import (
@@ -342,7 +341,7 @@ def test_capture_round_trip_at_volume(tmp_path):
 def test_rule_blackholing():
     # --- a blocked flow delivers nothing while its rule lives, and
     #     delivery resumes once the rule idles out
-    topology = build_topology(StarSpec(hosts=2))
+    topology = StarSpec(hosts=2)
     engine = SimEngine(5)
     controller = Controller(topology, ControllerSettings(drop_idle_timeout_s=0.2))
     ids = IdsVnf(IdsSettings(anomaly_window_s=1.0, anomaly_threshold_pps=2.0))

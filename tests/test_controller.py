@@ -7,7 +7,6 @@ from vnfsdnsim.model import (
     PacketClass,
     StarSpec,
     ThreatKind,
-    build_topology,
 )
 from vnfsdnsim.sdn import Controller, ControllerSettings
 from vnfsdnsim.vnf import BlockReason, Verdict, block
@@ -20,7 +19,7 @@ def flood_packet(src=0, dst=3, tag="flood"):
 
 
 def test_block_verdict_installs_delayed_drop_rule():
-    topology = build_topology(StarSpec(hosts=2))
+    topology = StarSpec(hosts=2)
     settings = ControllerSettings(install_delay_us=1000, drop_idle_timeout_s=0.01)
     controller = Controller(topology, settings)
     pkt = flood_packet(src=0, dst=3)
@@ -38,7 +37,7 @@ def test_block_verdict_installs_delayed_drop_rule():
 
 def test_detection_delay_postpones_activation():
     controller = Controller(
-        build_topology(StarSpec(hosts=2)), ControllerSettings(install_delay_us=1000)
+        StarSpec(hosts=2), ControllerSettings(install_delay_us=1000)
     )
     rule = controller.on_verdict(
         flood_packet(), block(BlockReason.PROFILE_DETECTION), now_us=0, extra_delay_us=2500
@@ -48,7 +47,7 @@ def test_detection_delay_postpones_activation():
 
 def test_idle_timeout_with_refresh_on_match():
     controller = Controller(
-        build_topology(StarSpec(hosts=2)),
+        StarSpec(hosts=2),
         ControllerSettings(install_delay_us=0, drop_idle_timeout_s=0.01),
     )
     pkt = flood_packet(src=0, dst=3)
@@ -63,7 +62,7 @@ def test_idle_timeout_with_refresh_on_match():
 
 def test_lookup_evicts_expired_rules():
     controller = Controller(
-        build_topology(StarSpec(hosts=2)),
+        StarSpec(hosts=2),
         ControllerSettings(install_delay_us=0, drop_idle_timeout_s=0.001),
     )
     pkt = flood_packet()
@@ -76,7 +75,7 @@ def test_lookup_evicts_expired_rules():
 
 
 def test_reinstall_replaces_prior_rule():
-    controller = Controller(build_topology(StarSpec(hosts=2)))
+    controller = Controller(StarSpec(hosts=2))
     pkt = flood_packet()
     first = controller.on_verdict(pkt, block(BlockReason.IDS_ANOMALY), now_us=0)
     second = controller.on_verdict(pkt, block(BlockReason.IDS_SIGNATURE), now_us=100)
@@ -88,7 +87,7 @@ def test_reinstall_replaces_prior_rule():
 def test_idle_timeout_rounds_to_the_nearest_microsecond():
     # 2.01 s is 2009999.9999999998 us in binary floating point
     settings = ControllerSettings(install_delay_us=0, drop_idle_timeout_s=2.01)
-    controller = Controller(build_topology(StarSpec(hosts=2)), settings)
+    controller = Controller(StarSpec(hosts=2), settings)
     rule = controller.on_verdict(flood_packet(), block(BlockReason.IDS_SIGNATURE), now_us=0)
     assert rule.idle_timeout_us == 2_010_000
     assert rule.active(rule.last_match + 2_010_000)
@@ -96,7 +95,7 @@ def test_idle_timeout_rounds_to_the_nearest_microsecond():
 
 
 def test_forward_verdict_installs_nothing():
-    controller = Controller(build_topology(StarSpec(hosts=2)))
+    controller = Controller(StarSpec(hosts=2))
     pkt = flood_packet(src=0, dst=3)
     assert controller.on_verdict(pkt, Verdict(True), now_us=0) is None
     assert controller._rules == {} and controller.rules_installed == 0

@@ -158,22 +158,12 @@ def test_event_hash_golden_value_across_flush_batches():
     assert run() == "d8c9486cd6823d68fc4878ef86b410ac7e40909980f1e50e8ccf16f944772fff"
 
 
-def test_streams_must_be_registered_before_use():
-    engine = SimEngine(7)
-    stream = engine.register_stream("traffic/x")
-    stream.uniform()
-    again = engine.register_stream("traffic/x")
-    assert again is stream and again.counter == 1  # idempotent, never reset
-
-
 def test_stream_isolation_draws_do_not_interfere():
-    a_only = SimEngine(99)
-    a = a_only.register_stream("flow/a")
+    a = RngStream(99, "flow/a")
     solo = [a.uniform() for _ in range(50)]
 
-    mixed = SimEngine(99)
-    a2 = mixed.register_stream("flow/a")
-    b2 = mixed.register_stream("flow/b")
+    a2 = RngStream(99, "flow/a")
+    b2 = RngStream(99, "flow/b")
     interleaved = []
     for _ in range(50):
         interleaved.append(a2.uniform())

@@ -5,45 +5,37 @@ import dataclasses
 import pytest
 
 from vnfsdnsim.model import (
+    DEFAULT_ACCESS,
+    DEFAULT_TRUNK,
     MAX_PACKET_BYTES,
     MIN_PACKET_BYTES,
     LinkParams,
-    NodeKind,
     Packet,
     PacketClass,
     SecurityPolicy,
     StarSpec,
     ThreatKind,
-    build_topology,
 )
 
 
 def test_star_topology_counts_and_names():
-    topo = build_topology(StarSpec(hosts=4, servers=2))
-    hosts = topo.by_kind(NodeKind.UE_HOST)
-    servers = topo.by_kind(NodeKind.SERVER)
-    switches = topo.by_kind(NodeKind.SWITCH)
-    assert [len(hosts), len(servers), len(switches)] == [4, 2, 1]
-    # one access link per host, one trunk per server
-    assert len(topo.links) == 4 + 2
-    assert topo.by_name("host0").kind is NodeKind.UE_HOST
-    assert topo.by_name("server1").kind is NodeKind.SERVER
-    assert topo.by_name("switch0").kind is NodeKind.SWITCH
-    assert [n.id for n in topo.nodes] == list(range(4 + 1 + 2))
+    star = StarSpec(hosts=4, servers=2)
+    assert list(star.ids.items()) == [
+        ("host0", 0), ("host1", 1), ("host2", 2), ("host3", 3),
+        ("switch0", 4), ("server0", 5), ("server1", 6),
+    ]
+    # one access link per host, one trunk per server, none for the switch
+    links = star.links()
+    assert list(links) == [0, 1, 2, 3, 5, 6]
+    assert all(links[h] is DEFAULT_ACCESS for h in range(4))
+    assert links[5] is links[6] is DEFAULT_TRUNK
 
 
 def test_star_per_host_access_override():
     slow = LinkParams(latency_us=9999, bandwidth_bps=1_000_000, queue_capacity=3)
-    topo = build_topology(StarSpec(hosts=3, per_host_access={1: slow}))
-    host1 = topo.by_name("host1").id
-    switch = topo.by_name("switch0").id
-    (link,) = [
-        link
-        for link in topo.links
-        if {link.a, link.b} == {host1, switch}
-    ]
-    assert link.latency_us == 9999
-    assert link.queue_capacity == 3
+    trunk = LinkParams(latency_us=7, bandwidth_bps=5_000_000, queue_capacity=9)
+    links = StarSpec(hosts=3, servers=2, trunk=trunk, per_host_access={1: slow}).links()
+    assert links == {0: DEFAULT_ACCESS, 1: slow, 2: DEFAULT_ACCESS, 4: trunk, 5: trunk}
 
 
 def test_star_rejects_empty_host_set():

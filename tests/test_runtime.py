@@ -17,7 +17,7 @@ import pytest
 
 from vnfsdnsim import scenarios
 from vnfsdnsim.config import apply_overrides, default_config, from_dict
-from vnfsdnsim.engine import EventKind, SimEngine, seconds
+from vnfsdnsim.engine import EventKind, RngStream, SimEngine, seconds
 from vnfsdnsim.metrics import kpi_rollup
 from vnfsdnsim.model import (
     LinkParams,
@@ -26,7 +26,6 @@ from vnfsdnsim.model import (
     SecurityPolicy,
     StarSpec,
     ThreatKind,
-    build_topology,
 )
 from vnfsdnsim.runtime import NetworkSim, run_cells, service_time_us
 from vnfsdnsim.scenarios import run_one
@@ -51,7 +50,7 @@ FAR_ACCESS = LinkParams(latency_us=10_000, bandwidth_bps=1_000_000_000, queue_ca
 
 
 def make_sim(*, vnfs=(), ctrl=ControllerSettings(), seed=1, hosts=2, **links):
-    topology = build_topology(StarSpec(hosts=hosts, **links))
+    topology = StarSpec(hosts=hosts, **links)
     engine = SimEngine(seed)
     controller = Controller(topology, ctrl)
     return NetworkSim(
@@ -62,14 +61,14 @@ def make_sim(*, vnfs=(), ctrl=ControllerSettings(), seed=1, hosts=2, **links):
 def qos_profile():
     """A profile that never blocks and schedules benign traffic first."""
     settings = ProfileSettings(detection_probability=0.0, prioritize_benign=True)
-    return MitigationProfile("q", settings, SimEngine(1).register_stream("q"))
+    return MitigationProfile("q", settings, RngStream(1, "q"))
 
 
 def inject_at(sim, t_us, pid, *, src=0, dst=None, size=1000, cls=PacketClass.BENIGN,
               tag="gold", threat_kind=None, response_size=0,
               measured=None):
     if dst is None:
-        dst = sim.topology.by_name("server0").id
+        dst = sim.topology.ids["server0"]
     if measured is None:
         measured = cls is PacketClass.BENIGN
 
@@ -171,7 +170,7 @@ def test_each_direction_of_a_link_queues_on_its_own(qos):
     # host0's own link runs at 1 Mbps: a 1000-byte packet serialises in 8000 us
     slow = LinkParams(latency_us=300, bandwidth_bps=1_000_000, queue_capacity=64)
     sim = make_sim(per_host_access={0: slow}, vnfs=[qos_profile()] if qos else [])
-    server = sim.topology.by_name("server0").id
+    server = sim.topology.ids["server0"]
     inject_at(sim, 0, pid=1, src=0, dst=server)
     inject_at(sim, 0, pid=2, src=server, dst=0)
     inject_at(sim, 0, pid=3, src=1, dst=0)
@@ -197,7 +196,7 @@ def test_events_per_two_hop_packet(qos, packets, monkeypatch):
         schedule(time, kind, fn, payload)
 
     monkeypatch.setattr(sim.engine, "schedule", counting)
-    server = sim.topology.by_name("server0").id
+    server = sim.topology.ids["server0"]
     offered = [
         (0, Packet(id=pid, src=0, dst=server, size=1000, protocol="tcp",
                    cls=PacketClass.BENIGN, tag="gold", created_at=0, measured=True))
@@ -306,7 +305,7 @@ def test_anomaly_detection_latency_spans_the_undetected_prefix():
 def test_profile_reporting_delay_defers_rule_activation():
     profile = MitigationProfile(
         "slowpoke", ProfileSettings(detection_probability=1.0, detection_delay_us=5000),
-        SimEngine(1).register_stream("p"),
+        RngStream(1, "p"),
     )
     sim = make_sim(vnfs=[profile])
     inject_at(sim, 0, pid=1, cls=PacketClass.THREAT, tag="syn",
@@ -385,9 +384,8 @@ def test_a_run_without_traffic_reports_undefined_ratios():
 
 
 def test_live_totals_are_conserved_and_match_an_offline_rollup():
-    topology = build_topology(
-        StarSpec(hosts=4, trunk=LinkParams(latency_us=800, bandwidth_bps=2_000_000,
-                                           queue_capacity=8))
+    topology = StarSpec(
+        hosts=4, trunk=LinkParams(latency_us=800, bandwidth_bps=2_000_000, queue_capacity=8)
     )
     engine = SimEngine(424242)
     sim = NetworkSim(

@@ -14,7 +14,7 @@ import pytest
 
 from vnfsdnsim import traffic
 from vnfsdnsim.engine import RngStream, SimEngine, seconds
-from vnfsdnsim.model import PacketClass, StarSpec, ThreatKind, build_topology
+from vnfsdnsim.model import PacketClass, StarSpec, ThreatKind
 from vnfsdnsim.runtime import NetworkSim
 from vnfsdnsim.sdn import Controller
 from vnfsdnsim.traffic import (
@@ -27,7 +27,7 @@ from vnfsdnsim.traffic import (
 )
 from vnfsdnsim.vnf import VnfChain
 
-STAR = build_topology(StarSpec(hosts=2))
+STAR = StarSpec(hosts=2)
 
 
 def run_profile(seed, duration_s, *profiles):

@@ -15,7 +15,6 @@ from vnfsdnsim.model import (
     SecurityPolicy,
     StarSpec,
     ThreatKind,
-    build_topology,
 )
 from vnfsdnsim.vnf import (
     BlockReason,
@@ -36,7 +35,7 @@ from vnfsdnsim.vnf import (
 
 POLICY = SecurityPolicy(accepted_tags=frozenset({"gold", "guest"}))
 # host<i> has node id i
-HOSTS = build_topology(StarSpec(hosts=10))
+HOSTS = StarSpec(hosts=10)
 
 
 def make_packet(
