@@ -62,7 +62,8 @@ class SecuritySettings:
 
     def __post_init__(self) -> None:
         text, ok = SECURITY_LABEL
-        require(self, (f"labels each {text}", lambda v: all(map(ok, v))), "configs")
+        require(self, (f"at least one label, each {text}", lambda v: v and all(map(ok, v))),
+                "configs")
         for label in self.configs:
             profile = label.removeprefix(PROFILE_PREFIX)
             if profile != label and profile not in self.profiles:
@@ -83,9 +84,8 @@ class SweepSettings:
     hosts: tuple[int, ...] = ()  # each config runs at every count, not at topology.hosts
 
     def __post_init__(self) -> None:
-        require(self, ("counts of at least 1", lambda v: all(n >= 1 for n in v)), "hosts")
-        if list(self.hosts) != sorted(self.hosts):
-            raise ValueError("hosts must be ascending")
+        require(self, ("strictly ascending counts of at least 1",
+                       lambda v: all(a < b for a, b in zip((0, *v), v))), "hosts")
 
 
 @dataclass(frozen=True, kw_only=True)

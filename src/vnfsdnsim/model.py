@@ -69,8 +69,8 @@ class Packet:
     user-facing benign workload that KPIs are computed over, and a packet
     with a positive ``response_size`` is a request: it asks its destination
     for a reply of that many bytes, whose ``rtt_anchor`` is the request's
-    creation time.  Forwarding state (its hop) travels with the
-    packet in the runtime's events, not on it.
+    creation time.  It carries no forwarding state: the runtime's link
+    queues know their direction, so which hop a packet crossing them makes.
     """
 
     id: int

@@ -3,10 +3,11 @@
 Traffic runs between hosts and servers only, each at the end of its own
 link to the star's switch, so every packet travels two hops: up its
 source's link to the switch, then down its destination's link.  Each link
-direction is a store-and-forward queue: one transmission at a time, service
-time from the packet size and link bandwidth, propagation delay added after
-serialisation, arrivals beyond the queue capacity (packets waiting, not the
-one in service) dropped.  A link direction takes one of two forms:
+direction is a store-and-forward queue that knows its direction: one
+transmission at a time, service time from the packet size and link
+bandwidth, propagation delay added after serialisation, arrivals beyond the
+queue capacity (packets waiting, not the one in service) dropped.  A link
+direction takes one of two forms:
 
 - without benign-first scheduling it is a FIFO computed at enqueue
   (``FifoQueue``): the packet starts at ``max(t, free_at)``, so its
@@ -35,10 +36,11 @@ the engine hands it to ``inject`` at its creation time, after every event
 of that microsecond.  A response enters through ``inject`` from an event
 and takes the cell's next id of -1, -2, ...
 
-Only the switch takes an arrival event.  When a hop is handed on
-(``_hop``) at its arrival time ``at``:
+Only the switch takes an arrival event, which carries the packet itself.
+When a packet has crossed a queue, it is handed on (``_hop``) at its
+arrival time ``at``, and the queue's direction tells which hop it finished:
 
-- a hop to the switch schedules the arrival there;
+- a hop up to the switch schedules the arrival there;
 - a last hop to the destination needs no event: when ``at`` is within the
   run's horizon its ``deliver`` is recorded at once, stamped ``at``, and a
   request schedules its response to leave at ``at``; a later one is
@@ -88,7 +90,7 @@ from .metrics import KpiReport, WindowAggregator
 from .model import Flow, LinkParams, NodeId, Packet, PacketClass, StarSpec
 from .sdn import Controller, FlowRule
 from .traffic import AccessProfile, BenignProfile, DdosProfile, offered_chunks
-from .vnf import CaptureVnf, MitigationProfile, VnfChain
+from .vnf import FORWARD, CaptureVnf, MitigationProfile, VnfChain
 
 #: Estimated state per tracked intrusion-detection source, for the memory gauge.
 IDS_KB_PER_SOURCE = 4.0
@@ -96,21 +98,19 @@ IDS_KB_PER_SOURCE = 4.0
 RULE_KB = 0.5
 
 
-#: A packet in transit and its hop: 0 up to the switch, 1 down from it.
-Transit = tuple[Packet, int]
-
-
 class FifoQueue:
     """One link direction without priorities, computed at enqueue.
 
-    ``waiting`` holds the start times still in the future, one per queued
-    packet; a packet whose start time the clock has reached left the queue.
+    ``down`` is True for the direction from the switch.  ``waiting`` holds the
+    start times still in the future, one per queued packet; a packet whose
+    start time the clock has reached left the queue.
     """
 
-    __slots__ = ("link", "free_at", "waiting")
+    __slots__ = ("link", "down", "free_at", "waiting")
 
-    def __init__(self, link: LinkParams):
+    def __init__(self, link: LinkParams, down: bool):
         self.link = link
+        self.down = down
         self.free_at: SimTime = 0
         self.waiting: deque[SimTime] = deque()
 
@@ -135,12 +135,13 @@ class FifoQueue:
 class QosQueue:
     """One link direction with benign-first scheduling: two bands, one server."""
 
-    __slots__ = ("link", "hi", "lo", "finish")
+    __slots__ = ("link", "down", "hi", "lo", "finish")
 
-    def __init__(self, link: LinkParams):
+    def __init__(self, link: LinkParams, down: bool):
         self.link = link
-        self.hi: deque[Transit] = deque()
-        self.lo: deque[Transit] = deque()
+        self.down = down
+        self.hi: deque[Packet] = deque()
+        self.lo: deque[Packet] = deque()
         # Departure time of the packet in service; at or before the clock
         # once the server is idle.
         self.finish: SimTime = -1
@@ -214,8 +215,8 @@ class NetworkSim:
         self._up: dict[NodeId, FifoQueue | QosQueue] = {}
         self._down: dict[NodeId, FifoQueue | QosQueue] = {}
         for end, link in topology.links().items():
-            self._up[end] = queue(link)
-            self._down[end] = queue(link)
+            self._up[end] = queue(link, down=False)
+            self._down[end] = queue(link, down=True)
 
         self._responses = 0  # responses injected so far; the n-th has id -n
         self._first_threat_emit: dict[Flow, int] = {}
@@ -254,26 +255,23 @@ class NetworkSim:
         self._rec_emit(now, packet)
         if packet.cls is PacketClass.THREAT:
             self._first_threat_emit.setdefault(packet.flow, packet.created_at)
-        self._transmit((packet, 0), now)
+        self._transmit(self._up[packet.src], packet, now)
 
-    def _transmit(self, transit: Transit, t: SimTime) -> None:
-        packet, hop = transit
-        q = self._down[packet.dst] if hop else self._up[packet.src]
+    def _transmit(self, q: FifoQueue | QosQueue, packet: Packet, t: SimTime) -> None:
         if self.qos_priority:
-            self._enqueue_qos(q, transit, t)
+            self._enqueue_qos(q, packet, t)
             return
         finish = q.enqueue(packet.size, t)
         if finish is None:
             self._rec_qdrop(t, packet)
         else:
-            self._hop(transit, finish + q.link.latency_us)
+            self._hop(q, packet, finish + q.link.latency_us)
 
-    def _hop(self, transit: Transit, at: SimTime) -> None:
-        """Hand a packet on at ``at``: an arrival event at the switch after
-        its first hop, else its delivery, recorded now."""
-        packet, hop = transit
-        if not hop:
-            self.engine.schedule(at, EventKind.PACKET_ARRIVAL, self._on_arrival, transit)
+    def _hop(self, q: FifoQueue | QosQueue, packet: Packet, at: SimTime) -> None:
+        """Hand a packet that crossed ``q`` on at ``at``: an arrival event at
+        the switch after the hop up, else its delivery, recorded now."""
+        if not q.down:
+            self.engine.schedule(at, EventKind.PACKET_ARRIVAL, self._on_arrival, packet)
         elif at > self._duration_us:
             self._late_hops += 1
         else:
@@ -281,31 +279,30 @@ class NetworkSim:
             if packet.response_size:
                 self.engine.schedule(at, EventKind.PACKET_ARRIVAL, self._respond, packet)
 
-    def _enqueue_qos(self, q: QosQueue, transit: Transit, t: SimTime) -> None:
-        packet = transit[0]
+    def _enqueue_qos(self, q: QosQueue, packet: Packet, t: SimTime) -> None:
         if q.finish == t:
             # The packet in service departs now, which frees its slot first.
             self._start_next(q, t)
         if q.finish <= t:  # idle, so nothing waits
-            self._serve(q, transit, t)
+            self._serve(q, packet, t)
             return
         hi = packet.cls is PacketClass.BENIGN
         if len(q) >= q.link.queue_capacity:
             # A benign arrival pushes out a queued low-band packet instead
             # of being tail-dropped.
             if hi and q.lo:
-                self._rec_qdrop(t, q.lo.pop()[0])
+                self._rec_qdrop(t, q.lo.pop())
             else:
                 self._rec_qdrop(t, packet)
                 return
         elif not len(q):
             # The first packet to wait: wake the server when it frees.
             self.engine.schedule(q.finish, EventKind.PACKET_DEPARTURE, self._on_departure, q)
-        (q.hi if hi else q.lo).append(transit)
+        (q.hi if hi else q.lo).append(packet)
 
-    def _serve(self, q: QosQueue, transit: Transit, t: SimTime) -> None:
-        q.finish = t + service_time_us(transit[0].size, q.link.bandwidth_bps)
-        self._hop(transit, q.finish + q.link.latency_us)
+    def _serve(self, q: QosQueue, packet: Packet, t: SimTime) -> None:
+        q.finish = t + service_time_us(packet.size, q.link.bandwidth_bps)
+        self._hop(q, packet, q.finish + q.link.latency_us)
 
     def _start_next(self, q: QosQueue, t: SimTime) -> None:
         band = q.hi or q.lo
@@ -318,10 +315,9 @@ class NetworkSim:
         if q.finish == t:  # not already handed over by an arrival at t
             self._start_next(q, t)
 
-    def _on_arrival(self, t: SimTime, transit: Transit) -> None:
-        packet = transit[0]
+    def _on_arrival(self, t: SimTime, packet: Packet) -> None:
         if self._admit(packet, t):
-            self._transmit((packet, 1), t)
+            self._transmit(self._down[packet.dst], packet, t)
 
     # ------------------------------------------------------------------
     # security enforcement
@@ -333,13 +329,13 @@ class NetworkSim:
             self._rec_block(t, packet, rule.reason)
             return False
         verdict, cost = self.chain.process(packet, t)
-        if self.capture is not None and self.capture.monitoring and not verdict.forward:
+        if self.capture is not None and self.capture.monitoring and verdict is not FORWARD:
             # The capture tap keeps evidence of what the chain rejected.
             self.capture.capture(packet, verdict, t)
             cost += self.capture.cost_us
         if cost:
             self._rec_cost(t, cost)
-        if verdict.forward:  # the controller installs nothing for it
+        if verdict is FORWARD:  # the controller installs nothing for it
             return True
         installed = self.controller.on_verdict(packet, verdict, t, self._report_delay_us)
         if installed is not None:

@@ -52,8 +52,8 @@ from .runtime import NetworkSim, RunResult, run_cells
 from .sdn import Controller
 from .vnf import (
     CAPTURE_FORMAT_VERSION,
+    CAPTURE_RECORD_KEYS,
     NDREC_JSON,
-    CaptureRecord,
     CaptureVnf,
     FilterVnf,
     FirewallVnf,
@@ -717,7 +717,6 @@ def load_results(out_dir: str | Path) -> list[ScenarioResult]:
 
 # The writer's keys, in the sorted order NDREC_JSON writes them.
 _CAPTURE_HEADER_KEYS = tuple(sorted(CaptureVnf(".", 0).header_object()))
-_CAPTURE_RECORD_KEYS = tuple(sorted(CaptureRecord(0, 0, 0, 0, "", "", "", 0, "").as_object()))
 
 
 def _parse_capture_line(line: str, number: int, keys: tuple[str, ...]) -> dict:
@@ -755,7 +754,7 @@ def capture_dump(path: str | Path) -> str:
     ]
     count = 0
     for number, line in enumerate(lines[1:], start=2):
-        rec = _parse_capture_line(line, number, _CAPTURE_RECORD_KEYS)
+        rec = _parse_capture_line(line, number, CAPTURE_RECORD_KEYS)
         count += 1
         out.append(
             f"  [{rec['sim_time_us']:>12} us] #{rec['id']} "

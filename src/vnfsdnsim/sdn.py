@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .engine import seconds
 from .model import NON_NEGATIVE, POSITIVE, Flow, NodeId, Packet, StarSpec, require
-from .vnf import Verdict
+from .vnf import FORWARD, Verdict
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,7 @@ class FlowRule:
     reason: str
 
     def active(self, now_us: int) -> bool:
-        return self.installed_at <= now_us and not self.expired(now_us)
-
-    def expired(self, now_us: int) -> bool:
-        return now_us - self.last_match > self.idle_timeout_us
+        return self.installed_at <= now_us and now_us - self.last_match <= self.idle_timeout_us
 
 
 class Controller:
@@ -90,7 +87,7 @@ class Controller:
         active after the install delay plus any reporting delay of the
         detecting function.  A forward verdict installs nothing.
         """
-        if verdict.forward:
+        if verdict is FORWARD:
             return None
         active_from = now_us + self.settings.install_delay_us + extra_delay_us
         rule = FlowRule(
@@ -98,7 +95,7 @@ class Controller:
             installed_at=active_from,
             idle_timeout_us=self._idle_timeout_us,
             last_match=active_from,
-            reason=verdict.reason.value,
+            reason=verdict.value,
         )
         self._rules[rule.key] = rule
         self.rules_installed += 1

@@ -74,6 +74,8 @@ class ActivityWindow:
             in_cycle = (f"in (0, {self.burst_period_s}]",
                         lambda on: on is not None and 0 < on <= self.burst_period_s)
             require(self, in_cycle, "burst_on_s")
+        else:
+            require(self, ("unset without burst_period_s", lambda on: on is None), "burst_on_s")
 
     def wall_us(self, active_s: float) -> SimTime:
         """Map a point on the active axis to wall-clock microseconds."""

@@ -1,7 +1,8 @@
 """Data-plane security functions and their chaining.
 
-Each function inspects a packet and returns a verdict.  A chain consults
-its functions in order and stops at the first Block, so the per-packet
+Each function inspects a packet and returns a ``Verdict``: ``FORWARD``, or
+the block reason itself, one enum member per reason.  A chain consults its
+functions in order and stops at the first block, so the per-packet
 processing cost is the sum of the costs of the functions actually
 consulted.
 
@@ -11,9 +12,9 @@ otherwise it is blocked with a policy-mismatch reason.  The capture
 function implements monitor-mode recording.  While monitoring is active the
 runtime hands it every packet the chain blocks at a switch; packets that
 the chain forwards, or that an installed drop rule consumes before the
-chain, are not captured.  Each captured packet is appended to an in-memory
-buffer, and ``stop_and_save`` persists the buffer as one line-delimited
-record file.
+chain, are not captured.  The buffer keeps each captured packet itself,
+with its verdict and capture time, and ``stop_and_save`` writes it out as
+one line-delimited record file.
 
 The firewall, the intrusion detector and the mitigation profiles take the
 config sections declared here: ``FirewallRule``, ``IdsSettings`` and
@@ -53,37 +54,29 @@ class IoFailure(Exception):
     """Persisting a capture buffer failed."""
 
 
-class BlockReason(Enum):
+class Verdict(Enum):
+    """A decision on one packet: forward it, or block it for the reason that
+    is its value."""
+
+    FORWARD = "forward"
     POLICY_MISMATCH = "policy_mismatch"
     FIREWALL_RULE = "firewall_rule"
     IDS_SIGNATURE = "ids_signature"
     IDS_ANOMALY = "ids_anomaly"
     PROFILE_DETECTION = "profile_detection"
 
-
-@dataclass(frozen=True)
-class Verdict:
-    forward: bool
-    reason: BlockReason | None = None
-
-    def __post_init__(self) -> None:
-        if self.forward and self.reason is not None:
-            raise ValueError("a forward verdict carries no block reason")
-        if not self.forward and self.reason is None:
-            raise ValueError("a block verdict needs a reason")
+    @property
+    def forward(self) -> bool:
+        return self is FORWARD
 
     @property
     def label(self) -> str:
-        return "forward" if self.forward else f"block:{self.reason.value}"
+        return "forward" if self is FORWARD else f"block:{self.value}"
 
 
-FORWARD = Verdict(True)
-#: One block verdict per reason: verdicts are immutable, so they are built once.
-_BLOCKS = {reason: Verdict(False, reason) for reason in BlockReason}
-
-
-def block(reason: BlockReason) -> Verdict:
-    return _BLOCKS[reason]
+#: Hot paths compare by identity with this global: reading it is cheaper than
+#: the enum's class-attribute lookup ``Verdict.FORWARD``.
+FORWARD = Verdict.FORWARD
 
 
 # ----------------------------------------------------------------------
@@ -107,7 +100,7 @@ class FilterVnf:
     def check(self, packet: Packet, now_us: int = 0) -> Verdict:
         if self.policy.accepts(packet.tag) and packet.cls is not PacketClass.UNAUTHORIZED_ACCESS:
             return FORWARD
-        return block(BlockReason.POLICY_MISMATCH)
+        return Verdict.POLICY_MISMATCH
 
 
 @dataclass(frozen=True)
@@ -145,7 +138,7 @@ class FirewallVnf:
                 and (dst is None or dst == packet.dst)
                 and (protocol is None or protocol == packet.protocol)
             ):
-                return FORWARD if allow else block(BlockReason.FIREWALL_RULE)
+                return FORWARD if allow else Verdict.FIREWALL_RULE
         return FORWARD
 
 
@@ -187,9 +180,9 @@ class IdsVnf:
             history.popleft()
         history.append(now_us)
         if packet.threat_kind is not None and packet.threat_kind in settings.signatures:
-            return block(BlockReason.IDS_SIGNATURE)
+            return Verdict.IDS_SIGNATURE
         if len(history) / settings.anomaly_window_s > settings.anomaly_threshold_pps:
-            return block(BlockReason.IDS_ANOMALY)
+            return Verdict.IDS_ANOMALY
         return FORWARD
 
     @property
@@ -240,7 +233,7 @@ class MitigationProfile:
         probability = self.settings.detection_probability
         if packet.cls is PacketClass.THREAT and probability > 0.0:
             if self.rng.uniform() < probability:
-                return block(BlockReason.PROFILE_DETECTION)
+                return Verdict.PROFILE_DETECTION
         return FORWARD
 
     @property
@@ -260,30 +253,10 @@ CAPTURE_SUFFIX = ".ndrec"
 NDREC_JSON = {"sort_keys": True, "separators": (",", ":")}
 
 
-@dataclass
-class CaptureRecord:
-    packet_id: int
-    src: int
-    dst: int
-    size: int
-    protocol: str
-    class_label: str
-    tag: str
-    sim_time_us: int
-    verdict_label: str
-
-    def as_object(self) -> dict:
-        return {
-            "class": self.class_label,
-            "dst": self.dst,
-            "id": self.packet_id,
-            "protocol": self.protocol,
-            "sim_time_us": self.sim_time_us,
-            "size": self.size,
-            "src": self.src,
-            "tag": self.tag,
-            "verdict": self.verdict_label,
-        }
+#: The keys of a capture record, in the sorted order ``NDREC_JSON`` writes.
+CAPTURE_RECORD_KEYS = (
+    "class", "dst", "id", "protocol", "sim_time_us", "size", "src", "tag", "verdict"
+)
 
 
 class CaptureVnf:
@@ -306,25 +279,14 @@ class CaptureVnf:
         self.folder = Path(folder)
         self.run_seed = run_seed
         self.monitoring = True
-        self.buffer: list[CaptureRecord] = []
+        # (sim time in us, packet, verdict) per captured packet
+        self.buffer: list[tuple[int, Packet, Verdict]] = []
 
-    def capture(self, packet: Packet, verdict: Verdict, now_us: int) -> CaptureRecord:
+    def capture(self, packet: Packet, verdict: Verdict, now_us: int) -> None:
         """Append one packet to the buffer."""
         if not self.monitoring:
             raise MonitoringStopped("capture invoked after monitoring stopped")
-        record = CaptureRecord(
-            packet_id=packet.id,
-            src=packet.src,
-            dst=packet.dst,
-            size=packet.size,
-            protocol=packet.protocol,
-            class_label=packet.class_label,
-            tag=packet.tag,
-            sim_time_us=now_us,
-            verdict_label=verdict.label,
-        )
-        self.buffer.append(record)
-        return record
+        self.buffer.append((now_us, packet, verdict))
 
     def header_object(self) -> dict:
         return {
@@ -343,8 +305,11 @@ class CaptureVnf:
             self.folder.mkdir(parents=True, exist_ok=True)
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(json.dumps(self.header_object(), **NDREC_JSON) + "\n")
-                for record in self.buffer:
-                    fh.write(json.dumps(record.as_object(), **NDREC_JSON) + "\n")
+                for now_us, p, verdict in self.buffer:
+                    values = (p.class_label, p.dst, p.id, p.protocol, now_us,
+                              p.size, p.src, p.tag, verdict.label)
+                    record = dict(zip(CAPTURE_RECORD_KEYS, values))
+                    fh.write(json.dumps(record, **NDREC_JSON) + "\n")
         except OSError as exc:
             raise IoFailure(f"cannot write capture file {path}: {exc}") from exc
         self.buffer.clear()
@@ -367,6 +332,6 @@ class VnfChain:
         for vnf in self.vnfs:
             cost += vnf.cost_us
             verdict = vnf.check(packet, now_us)
-            if not verdict.forward:
+            if verdict is not FORWARD:
                 return verdict, cost
         return FORWARD, cost

@@ -40,13 +40,11 @@ from vnfsdnsim.scenarios import (
 )
 from vnfsdnsim.sdn import Controller, ControllerSettings
 from vnfsdnsim.vnf import (
-    BlockReason,
     CaptureVnf,
     IdsSettings,
     IdsVnf,
     Verdict,
     VnfChain,
-    block,
 )
 
 
@@ -305,7 +303,7 @@ def test_capture_round_trip_at_volume(tmp_path):
     cap = CaptureVnf(tmp_path, run_seed=33)
     rng = RngStream(33, "capture-fuzz")
     classes = (PacketClass.BENIGN, PacketClass.THREAT, PacketClass.UNAUTHORIZED_ACCESS)
-    reasons = tuple(BlockReason)
+    blocks = tuple(v for v in Verdict if v is not Verdict.FORWARD)
     expected = []
     for i in range(n):
         cls = classes[i % 3]
@@ -320,9 +318,13 @@ def test_capture_round_trip_at_volume(tmp_path):
             created_at=i,
             threat_kind=ThreatKind.SYN_FLOOD if cls is PacketClass.THREAT else None,
         )
-        verdict = Verdict(True) if i % 2 else block(reasons[i % len(reasons)])
-        record = cap.capture(pkt, verdict, now_us=i * 3)
-        expected.append(record.as_object())
+        verdict = Verdict.FORWARD if i % 2 else blocks[i % len(blocks)]
+        cap.capture(pkt, verdict, now_us=i * 3)
+        expected.append({
+            "class": pkt.class_label, "dst": pkt.dst, "id": i, "protocol": pkt.protocol,
+            "sim_time_us": i * 3, "size": pkt.size, "src": pkt.src, "tag": pkt.tag,
+            "verdict": "forward" if i % 2 else f"block:{verdict.value}",
+        })
     assert len(cap.buffer) == n
     path = cap.stop_and_save()
 

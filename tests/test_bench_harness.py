@@ -3,15 +3,17 @@
 ``bench/tracing.py`` wraps its entry points by looking each one up in its
 owner's ``__dict__``, ``bench/run_bench.py`` times cells by replacing
 ``scenarios.run_one``, and both it and ``bench/checks.py`` read
-``RunResult.reroutes``.  A rename or deletion of any of these would
-otherwise show up only as a failed benchmark run.
+``RunResult.reroutes``.  Its hit counters read ``VnfChain.process``'s
+verdict (``.forward``) and ``Controller.lookup``'s first element.  A
+rename or deletion of any of these, or a change of those result shapes,
+would otherwise show up only as a failed benchmark run.
 """
 
 import importlib.util
 from dataclasses import fields
 from pathlib import Path
 
-from vnfsdnsim import scenarios
+from vnfsdnsim import config, scenarios
 from vnfsdnsim.engine import SimEngine
 from vnfsdnsim.runtime import RunResult
 
@@ -56,3 +58,20 @@ def test_tracer_uninstall_restores_every_original():
 def test_cell_entry_and_reroutes_column_exist():
     assert callable(scenarios.run_one)
     assert "reroutes" in {f.name for f in fields(RunResult)}
+
+
+def test_a_traced_cell_counts_calls_and_hits(tmp_path):
+    # scenario 5's vnfsdn cell, shrunk to 1 s with the flood from 0.5 s
+    tree = config.default_config(5)
+    tree["duration_s"] = 1.0
+    tree["traffic"]["ddos"][0]["window"] = {"start_s": 0.5}
+    cfg = config.from_dict(tree)
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        scenarios.run_one(cfg, "vnfsdn", out_dir=tmp_path)
+    finally:
+        tracer.uninstall()
+    for name in ("vnf.process", "sdn.lookup"):
+        assert tracer.stats[name][0] > 0, name
+        assert tracer.hits[name] > 0, name

@@ -10,7 +10,9 @@ Theory*, the M/G/1/K queue).  Without a low band the benign-first form must
 behave the same.  With host1 flooding ``server0`` in the low band and an
 unbounded trunk, the benign mean wait is Cobham's non-preemptive priority
 result W1 = W0 / (1 - rho1), where W0 = lambda D^2 / 2 over both classes
-(Cobham 1954, *Operations Research* 2(1)).
+(Cobham 1954, *Operations Research* 2(1)).  With both classes overloading a
+bounded trunk, the FIFO form loses benign packets at the M/D/1/K rate of
+the whole load, while the benign-first form sheds the low band instead.
 
 A run's KPI windows are its batches: an estimate is the mean of the
 per-window values, and it must lie within ``Z`` batch-means standard errors
@@ -104,3 +106,16 @@ def test_benign_first_link_meets_cobham_priority_wait():
     windows = run(rho_benign, 10**6, qos=True, rho_threat=rho_threat)
     w0 = (rho_benign + rho_threat) * D_US / 2  # lambda D^2 / 2
     check([w.mean_latency_ms * 1000 for w in windows], w0 / (1 - rho_benign) + D_US + 1)
+
+
+def test_benign_first_link_sheds_the_low_band_on_the_same_packets():
+    # rho = 1.2, half of it benign, offered alike to both forms
+    fifo = run(0.6, 10, rho_threat=0.6)
+    first = run(0.6, 10, qos=True, rho_threat=0.6)
+    check([w.benign_queue_drops / w.sent_benign for w in fifo], md1k(1.2, 11)[0])
+
+    def loss(windows):
+        return sum(w.benign_queue_drops for w in windows) / sum(w.sent_benign for w in windows)
+
+    assert [w.sent_benign for w in first] == [w.sent_benign for w in fifo]
+    assert loss(first) < loss(fifo) / 10, (loss(first), loss(fifo))

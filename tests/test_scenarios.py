@@ -229,10 +229,12 @@ def test_shipped_config_digests_are_pinned():
 
 
 def test_sweep_must_ascend():
-    tree = default_config(2)
-    tree["sweep"]["hosts"] = [40, 20]
-    with pytest.raises(ConfigError):
-        from_dict(tree)
+    # a repeated count counts as out of order
+    for hosts in ([40, 20], [20, 20], [10, 20, 20]):
+        tree = default_config(2)
+        tree["sweep"]["hosts"] = hosts
+        with pytest.raises(ConfigError, match="sweep.hosts must be strictly ascending"):
+            from_dict(tree)
 
 
 def test_default_trees_are_independent_copies():
@@ -500,7 +502,7 @@ def good_capture(tmp_path, records=3):
         cap.capture(
             Packet(id=i, src=0, dst=3, size=200, protocol="tcp",
                    cls=PacketClass.BENIGN, tag="gold", created_at=i),
-            Verdict(True),
+            Verdict.FORWARD,
             now_us=i,
         )
     return cap.stop_and_save()
@@ -730,6 +732,12 @@ def test_cli_run_usage_errors(tmp_path):
       for link in ("access", "trunk", "per_host_access.9")
       for key, value in (("latency_us", -1), ("bandwidth_bps", 0), ("queue_capacity", 0))),
     (2, "sweep.hosts=[0,5]", "sweep.hosts"),
+    # a repeated count would run its point twice and write two rows of one label
+    (2, "sweep.hosts=[10,10]", "sweep.hosts"),
+    # no config to run
+    (4, "security.configs=[]", "security.configs"),
+    # a burst length without a burst period would be ignored
+    (5, "traffic.ddos.0.window.burst_on_s=0.5", "traffic.ddos.0.window.burst_on_s"),
 ])
 def test_cli_run_names_the_bad_key(scenario, assignment, key, tmp_path, capsys):
     code = run_cli("run", "--scenario", str(scenario), "--out", str(tmp_path),

@@ -17,7 +17,6 @@ from vnfsdnsim.model import (
     ThreatKind,
 )
 from vnfsdnsim.vnf import (
-    BlockReason,
     CaptureVnf,
     FilterVnf,
     FirewallRule,
@@ -30,7 +29,6 @@ from vnfsdnsim.vnf import (
     ProfileSettings,
     Verdict,
     VnfChain,
-    block,
 )
 
 POLICY = SecurityPolicy(accepted_tags=frozenset({"gold", "guest"}))
@@ -63,20 +61,21 @@ def make_packet(
     )
 
 
-def test_verdict_construction_contract():
-    assert Verdict(True).label == "forward"
-    assert block(BlockReason.IDS_ANOMALY).label == "block:ids_anomaly"
-    with pytest.raises(ValueError):
-        Verdict(True, BlockReason.IDS_ANOMALY)
-    with pytest.raises(ValueError):
-        Verdict(False)
+def test_verdict_labels_and_reasons():
+    assert Verdict.FORWARD.forward and Verdict.FORWARD.label == "forward"
+    blocks = [v for v in Verdict if v is not Verdict.FORWARD]
+    assert [v.value for v in blocks] == [
+        "policy_mismatch", "firewall_rule", "ids_signature", "ids_anomaly", "profile_detection"
+    ]
+    for verdict in blocks:
+        assert not verdict.forward and verdict.label == f"block:{verdict.value}"
 
 
 def test_filter_verdicts():
     vnf = FilterVnf(policy=POLICY)
     assert vnf.check(make_packet(tag="gold")).forward
     blocked = vnf.check(make_packet(tag="intruder"))
-    assert not blocked.forward and blocked.reason is BlockReason.POLICY_MISMATCH
+    assert blocked is Verdict.POLICY_MISMATCH
     # unauthorized access is blocked even under an accepted tag
     sneaky = make_packet(cls=PacketClass.UNAUTHORIZED_ACCESS, tag="gold")
     assert not vnf.check(sneaky).forward
@@ -101,7 +100,7 @@ def test_ids_signature_match_blocks_immediately():
     ids = IdsVnf(IdsSettings(signatures=frozenset({ThreatKind.SYN_FLOOD})))
     attack = make_packet(cls=PacketClass.THREAT, threat_kind=ThreatKind.SYN_FLOOD)
     verdict = ids.check(attack, now_us=0)
-    assert verdict.reason is BlockReason.IDS_SIGNATURE
+    assert verdict is Verdict.IDS_SIGNATURE
     other = make_packet(cls=PacketClass.THREAT, threat_kind=ThreatKind.ZERO_DAY)
     assert ids.check(other, now_us=1).forward
 
@@ -123,7 +122,7 @@ def test_ids_anomaly_matches_sliding_window_oracle():
         verdict = ids.check(make_packet(pid=i, src=5), now_us=now)
         assert verdict.forward == (not expect_block), f"diverged at packet {i}"
         if not verdict.forward:
-            assert verdict.reason is BlockReason.IDS_ANOMALY
+            assert verdict is Verdict.IDS_ANOMALY
     assert ids.tracked_sources == 1
 
 
@@ -176,14 +175,25 @@ def test_chain_short_circuits_at_first_block():
 
 def test_capture_round_trip_preserves_every_field(tmp_path):
     cap = CaptureVnf(tmp_path, run_seed=7)
-    records = []
+    expected = []
     for i in range(100):
         pkt = make_packet(pid=i, src=i % 5, size=100 + i,
                           cls=PacketClass.THREAT if i % 3 else PacketClass.BENIGN,
                           threat_kind=ThreatKind.SYN_FLOOD if i % 3 else None,
                           tag=f"t{i % 4}")
-        verdict = block(BlockReason.POLICY_MISMATCH) if i % 2 else Verdict(True)
-        records.append(cap.capture(pkt, verdict, now_us=10 * i))
+        verdict = Verdict.POLICY_MISMATCH if i % 2 else Verdict.FORWARD
+        cap.capture(pkt, verdict, now_us=10 * i)
+        expected.append({
+            "class": "threat:syn_flood" if i % 3 else "benign",
+            "dst": 9,
+            "id": i,
+            "protocol": "tcp",
+            "sim_time_us": 10 * i,
+            "size": 100 + i,
+            "src": i % 5,
+            "tag": f"t{i % 4}",
+            "verdict": "block:policy_mismatch" if i % 2 else "forward",
+        })
     assert len(cap.buffer) == 100
     path = cap.stop_and_save()
     assert path.name == "capture_7_0.ndrec"
@@ -191,20 +201,20 @@ def test_capture_round_trip_preserves_every_field(tmp_path):
     assert len(lines) == 101  # header + one per packet
     header = json.loads(lines[0])
     assert header["format_version"] == 1 and header["run_seed"] == 7
-    for line, record in zip(lines[1:], records):
+    for line, record in zip(lines[1:], expected):
         obj = json.loads(line)
         assert list(obj.keys()) == sorted(obj.keys())
-        assert obj == record.as_object()
+        assert obj == record
     # saving clears the buffer and stops monitoring
     assert cap.buffer == [] and not cap.monitoring
     with pytest.raises(MonitoringStopped):
-        cap.capture(make_packet(), Verdict(True), now_us=0)
+        cap.capture(make_packet(), Verdict.FORWARD, now_us=0)
 
 
 def test_capture_io_failure_surfaces(tmp_path):
     blocker = tmp_path / "not-a-folder"
     blocker.write_text("occupied")
     cap = CaptureVnf(blocker, run_seed=1)
-    cap.capture(make_packet(), Verdict(True), now_us=0)
+    cap.capture(make_packet(), Verdict.FORWARD, now_us=0)
     with pytest.raises(IoFailure):
         cap.stop_and_save()
