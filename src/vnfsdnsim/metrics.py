@@ -436,6 +436,26 @@ class WindowAggregator:
     def detect(self, _t: int, _flow: str, latency_us: int) -> None:
         self._detections.append(latency_us)
 
+    def add(self, other: WindowAggregator) -> None:
+        """Add what ``other``, with the same windows and fed only ``emit`` and
+        ``qdrop`` records, has folded: records shared by several runs are
+        folded once.  Every sum it adds is of whole numbers (the weighted
+        bytes too, as whole floats far below 2**53), so the result does not
+        depend on the order the records were folded in."""
+        c, o = self.counters, other.counters
+        c.total_packets += o.total_packets
+        c.threat_packets += o.threat_packets
+        c.unauthorized_attempts += o.unauthorized_attempts
+        c.access_attempts += o.access_attempts
+        c.queue_dropped += o.queue_dropped
+        for idx, theirs in other._rows.items():
+            row = self._row(idx * self.window_us)
+            row.sent_benign += theirs.sent_benign
+            row.threat_sent += theirs.threat_sent
+            row.unauthorized_sent += theirs.unauthorized_sent
+            row.benign_queue_drops += theirs.benign_queue_drops
+            row.monitored_weighted_bytes += theirs.monitored_weighted_bytes
+
     # -- finalising --------------------------------------------------------
 
     def finalize(self, duration_us: int, devices_total: int) -> KpiReport:

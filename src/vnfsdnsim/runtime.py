@@ -11,7 +11,7 @@ direction takes one of two forms:
 
 - without benign-first scheduling it is a FIFO computed at enqueue
   (``FifoQueue``): the packet starts at ``max(t, free_at)``, so its
-  next-hop arrival is scheduled at once, serialisation plus propagation
+  next-hop arrival is known at once, serialisation plus propagation
   later, and the link needs no departure event;
 - with it (a mitigation profile's ``prioritize_benign``) it is event-driven
   (``QosQueue``): benign packets wait in a high band served first, and a
@@ -31,14 +31,24 @@ forms give different runs.
 A run is ``start``, one ``advance`` per slice of offered traffic from
 ``traffic.offered_chunks`` and ``finish``; ``run_cells`` takes several
 cells of one sweep point through the same slices in lockstep, so they are
-offered the very same packet objects.  An offered packet is not an event:
-the engine hands it to ``inject`` at its creation time, after every event
-of that microsecond.  A response enters through ``inject`` from an event
-and takes the cell's next id of -1, -2, ...
+offered the very same packet objects.  An offered packet is not an event.
+The offered half of its path (the ``emit`` record, the source's uplink and
+the arrival at the switch) is the same in every FIFO cell unless its source
+also sends responses, so ``SharedUplinks`` runs it once per point: every
+endpoint that no stream with a ``request_fraction`` targets has one uplink
+for all the FIFO cells, and each of them is fed the resulting switch
+arrivals beside its event heap.  A responder's uplink carries the cell's
+own responses too, so it stays per cell, as does every uplink of a
+benign-first cell; an offered packet on such an uplink is handed to
+``inject`` at its creation time.  At one microsecond a cell's heap events
+go first, then its fed switch arrivals by packet id, then the offered
+packets it injects itself.  A response enters through ``inject`` from an
+event and takes the cell's next id of -1, -2, ...
 
-Only the switch takes an arrival event, which carries the packet itself.
-When a packet has crossed a queue, it is handed on (``_hop``) at its
-arrival time ``at``, and the queue's direction tells which hop it finished:
+A switch arrival from a cell's own uplink is an event, which carries the
+packet itself.  When a packet has crossed a queue, it is handed on
+(``_hop``) at its arrival time ``at``, and the queue's direction tells which
+hop it finished:
 
 - a hop up to the switch schedules the arrival there;
 - a last hop to the destination needs no event: when ``at`` is within the
@@ -47,8 +57,9 @@ arrival time ``at``, and the queue's direction tells which hop it finished:
   counted as a late hop and stays in flight.
 
 At the end of a run every packet in flight is held somewhere: in a late
-hop, in an arrival event still queued, or in a benign-first queue's band.
-The run checks that the counts match.
+hop, in an arrival event still queued, in a shared switch arrival carried
+past the horizon, or in a benign-first queue's band.  The run checks that
+the counts match.
 
 The switch is the enforcement point — on arrival a packet is resolved
 against the flow table first (an active drop rule consumes it with no
@@ -63,7 +74,9 @@ aggregator folds into KPIs; the hot packet records go straight to the
 aggregator's fold of their kind, and the rest through its ``feed``.  The
 same records can optionally be collected for offline rollups and
 assertions.  A ``deliver`` is collected when it is recorded, ahead of its
-``t``, so a collected trace is not sorted by ``t``.  Packets are immutable,
+``t``, and a FIFO cell collects the ``emit`` and ``qdrop`` records of its
+shared uplinks a slice at a time, ahead of the slice's other records, so a
+collected trace is not sorted by ``t``.  Packets are immutable,
 so a packet record holds the packet itself.  The record shapes, ``t`` in
 microseconds:
 
@@ -81,8 +94,10 @@ microseconds:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable
 
 from .engine import EventKind, SimEngine, SimTime, US_PER_S, seconds
@@ -155,6 +170,81 @@ def service_time_us(size_bytes: int, bandwidth_bps: int) -> int:
     return max(1, math.ceil(size_bytes * 8 * US_PER_S / bandwidth_bps))
 
 
+def _recorder(aggregator: WindowAggregator, kind: str,
+              trace: list[tuple] | None) -> Callable[..., None]:
+    """The aggregator's fold of ``kind`` records, called with the record's
+    fields; with a trace, it also builds and keeps the record."""
+    fold = getattr(aggregator, kind)
+    if trace is None:
+        return fold
+
+    def fold_and_keep(*fields) -> None:
+        fold(*fields)
+        trace.append((kind, *fields))
+
+    return fold_and_keep
+
+
+_TIME = itemgetter(0)
+
+
+class SharedUplinks:
+    """The offered half of a sweep point's data path, run once for its FIFO cells.
+
+    An endpoint that no stream sends a request to carries only offered
+    packets up its link, the same in every FIFO cell; its uplink is kept
+    here, once for the point.  Each slice folds those packets' ``emit`` and
+    ``qdrop`` records into ``fold`` (kept in ``records`` when a cell
+    collects a trace), enters each hostile flow's first emission, and turns
+    every packet that fits its uplink into a switch arrival.  ``advance``
+    returns the FIFO cells' feed up to the slice end: those arrivals by
+    (time, packet id), and then, at an equal microsecond, the packets
+    offered on the responders' own uplinks.  Arrivals past the slice end are
+    ``carried`` into the next; those left at the horizon are in flight.
+    """
+
+    def __init__(self, topology: StarSpec, responders: set[NodeId], window_s: float,
+                 keep_records: bool):
+        self.uplinks = {end: FifoQueue(link, down=False)
+                        for end, link in topology.links().items() if end not in responders}
+        self.first_threat_emit: dict[Flow, int] = {}
+        self.carried: list[tuple[SimTime, Packet]] = []
+        self.fold = WindowAggregator(window_s)
+        self.records: list[tuple] | None = [] if keep_records else None
+        self._window_s = window_s
+
+    def advance(self, end_us: SimTime,
+                offered: list[tuple[SimTime, Packet]]) -> list[tuple[SimTime, Packet]]:
+        """Run one slice's ``offered`` packets up the shared uplinks."""
+        self.fold = WindowAggregator(self._window_s)
+        if self.records is not None:
+            self.records = []
+        emit = _recorder(self.fold, "emit", self.records)
+        qdrop = _recorder(self.fold, "qdrop", self.records)
+        uplinks, first_threat_emit = self.uplinks, self.first_threat_emit
+        fed, own = self.carried, []
+        for t, packet in offered:
+            q = uplinks.get(packet.src)
+            if q is None:
+                own.append((t, packet))
+                continue
+            emit(t, packet)
+            if packet.cls is PacketClass.THREAT:
+                first_threat_emit.setdefault(packet.flow, t)
+            finish = q.enqueue(packet.size, t)
+            if finish is None:
+                qdrop(t, packet)
+            else:
+                fed.append((finish + q.link.latency_us, packet))
+        # The carried arrivals come first and every list runs in id order, so
+        # the stable sort puts equal times in (arrival, packet id) order.
+        fed += own
+        fed.sort(key=_TIME)
+        cut = bisect_right(fed, end_us, key=_TIME)
+        self.carried = fed[cut:]
+        return fed[:cut]
+
+
 @dataclass
 class RunResult:
     """Everything a finished run reports."""
@@ -203,11 +293,12 @@ class NetworkSim:
         self.aggregator = WindowAggregator(window_s, memory_base_mb=memory_base_mb)
         self.trace: list[tuple] | None = [] if collect_trace else None
         # The per-packet records skip the tuple and ``feed``'s dispatch.
-        self._rec_emit = self._recorder("emit")
-        self._rec_deliver = self._recorder("deliver")
-        self._rec_qdrop = self._recorder("qdrop")
-        self._rec_block = self._recorder("block")
-        self._rec_cost = self._recorder("cost")
+        agg, trace = self.aggregator, self.trace
+        self._rec_emit = _recorder(agg, "emit", trace)
+        self._rec_deliver = _recorder(agg, "deliver", trace)
+        self._rec_qdrop = _recorder(agg, "qdrop", trace)
+        self._rec_block = _recorder(agg, "block", trace)
+        self._rec_cost = _recorder(agg, "cost", trace)
 
         # Each endpoint's link to the switch queues each direction on its
         # own: up to the switch and down from it.
@@ -220,6 +311,8 @@ class NetworkSim:
 
         self._responses = 0  # responses injected so far; the n-th has id -n
         self._first_threat_emit: dict[Flow, int] = {}
+        self._shared: SharedUplinks | None = None
+        self._shared_up: dict[NodeId, FifoQueue] = {}  # uplinks run for the point, not the cell
         self._detected_flows: set[Flow] = set()
         self._duration_s = 0.0
         self._duration_us: SimTime = 0
@@ -233,25 +326,12 @@ class NetworkSim:
         if self.trace is not None:
             self.trace.append(rec)
 
-    def _recorder(self, kind: str) -> Callable[..., None]:
-        """The aggregator's fold of ``kind`` records, called with the record's
-        fields; with a trace, it also builds and keeps the record."""
-        fold = getattr(self.aggregator, kind)
-        trace = self.trace
-        if trace is None:
-            return fold
-
-        def fold_and_keep(*fields) -> None:
-            fold(*fields)
-            trace.append((kind, *fields))
-
-        return fold_and_keep
-
     # ------------------------------------------------------------------
     # packet lifecycle
 
     def inject(self, now: SimTime, packet: Packet) -> None:
-        """Entry point for freshly emitted packets, offered ones and responses."""
+        """Entry point of a packet on the cell's own uplink: a response, or an
+        offered packet that does not take a shared uplink."""
         self._rec_emit(now, packet)
         if packet.cls is PacketClass.THREAT:
             self._first_threat_emit.setdefault(packet.flow, packet.created_at)
@@ -318,6 +398,13 @@ class NetworkSim:
     def _on_arrival(self, t: SimTime, packet: Packet) -> None:
         if self._admit(packet, t):
             self._transmit(self._down[packet.dst], packet, t)
+
+    def _on_fed(self, t: SimTime, packet: Packet) -> None:
+        """A fed packet: at the switch when it took a shared uplink, else offered."""
+        if packet.src in self._shared_up:
+            self._on_arrival(t, packet)
+        else:
+            self.inject(t, packet)
 
     # ------------------------------------------------------------------
     # security enforcement
@@ -409,8 +496,15 @@ class NetworkSim:
         (result,) = run_cells([self], duration_s, benign, ddos, access)
         return result
 
-    def start(self, duration_s: float) -> None:
-        """Set the horizon and schedule the first monitor tick."""
+    def start(self, duration_s: float, shared: SharedUplinks | None = None) -> None:
+        """Set the horizon and schedule the first monitor tick.  A FIFO cell
+        given ``shared`` is fed the switch arrivals of the shared uplinks
+        instead of their offered packets, and counts those still carried at
+        the end as held."""
+        if shared is not None:
+            self._shared = shared
+            self._shared_up = shared.uplinks
+            self._first_threat_emit = shared.first_threat_emit
         self._duration_s = duration_s
         self._duration_us = seconds(duration_s)
         if self.monitor_interval_us < self._duration_us:
@@ -418,9 +512,10 @@ class NetworkSim:
                 self.monitor_interval_us, EventKind.MONITOR_SAMPLE, self._on_monitor_tick
             )
 
-    def advance(self, end_us: SimTime, offered: list[tuple[SimTime, Packet]]) -> None:
-        """Run to ``end_us``, injecting each offered ``(created_at, packet)``."""
-        self.engine.run_until(end_us, offered, self.inject)
+    def advance(self, end_us: SimTime, fed: list[tuple[SimTime, Packet]]) -> None:
+        """Run to ``end_us``, handing on each fed ``(t, packet)`` at ``t``: a
+        switch arrival from a shared uplink, else an offered packet to inject."""
+        self.engine.run_until(end_us, fed, self._on_fed)
 
     def finish(self) -> RunResult:
         """Run to the horizon, fold the KPI report, raise if a packet in
@@ -446,7 +541,8 @@ class NetworkSim:
         waiting = sum(
             len(q) for qs in (self._up, self._down) for q in qs.values() if isinstance(q, QosQueue)
         )
-        held = self._late_hops + self.engine.pending(EventKind.PACKET_ARRIVAL) + waiting
+        carried = len(self._shared.carried) if self._shared is not None else 0
+        held = self._late_hops + self.engine.pending(EventKind.PACKET_ARRIVAL) + waiting + carried
         if in_flight != held:
             raise RuntimeError(f"packet conservation: {in_flight} in flight, {held} held")
 
@@ -458,13 +554,18 @@ def run_cells(
     ddos: Iterable[DdosProfile] = (),
     access: Iterable[AccessProfile] = (),
 ) -> list[RunResult]:
-    """Run cells that share a seed and a topology on the same offered packets.
+    """Run cells that share a seed, a topology and a window length on the
+    same offered packets.
 
     The profiles' packets are drawn once, in ``offered_chunks`` slices, and
-    every slice is fed to every cell before the next is drawn.  Each cell
-    then finishes in order.  Raise unless every cell counted the same
-    offered traffic: the threats, the unauthorised attempts, the measured
-    benign packets and every packet but the responses.
+    every slice is fed to every cell before the next is drawn.  The FIFO
+    cells share the uplinks that carry no response (``SharedUplinks``): a
+    slice runs up them once, its records are added to each FIFO cell, and
+    each is fed the resulting switch arrivals.  A benign-first cell is fed
+    the offered packets themselves.  Each cell then finishes in order.
+    Raise unless every cell counted the same offered traffic: the threats,
+    the unauthorised attempts, the measured benign packets and every packet
+    but the responses.
     """
     first = sims[0]
     streams = [
@@ -472,11 +573,23 @@ def run_cells(
         for profile in (*benign, *ddos, *access)
         for stream in profile.streams(first.topology)
     ]
+    fifo = [sim for sim in sims if not sim.qos_priority]
+    shared = None
+    if fifo:
+        responders = {s.dst for s in streams if s.request_fraction > 0}
+        shared = SharedUplinks(first.topology, responders, fifo[0].aggregator.window_s,
+                               any(sim.trace is not None for sim in fifo))
     for sim in sims:
-        sim.start(duration_s)
+        sim.start(duration_s, None if sim.qos_priority else shared)
     for end_us, offered in offered_chunks(first.engine.seed, streams, seconds(duration_s)):
+        if shared is not None:
+            fed = shared.advance(end_us, offered)
+            for sim in fifo:
+                sim.aggregator.add(shared.fold)
+                if sim.trace is not None:
+                    sim.trace += shared.records
         for sim in sims:
-            sim.advance(end_us, offered)
+            sim.advance(end_us, offered if sim.qos_priority else fed)
     results = [sim.finish() for sim in sims]
     counted = set()
     for sim, result in zip(sims, results):

@@ -102,12 +102,15 @@ def star_configs(draw):
 
 
 def offered(trace):
-    """The emit records of the offered packets, responses excluded."""
-    return [
-        (t, p.src, p.dst, p.size, p.cls, p.tag, p.origin)
+    """The emit records of the offered packets, responses excluded, by packet
+    id: a FIFO cell's trace takes the records of its shared uplinks a slice
+    at a time, ahead of its own."""
+    emits = [
+        (p.id, (t, p.src, p.dst, p.size, p.cls, p.tag, p.origin))
         for kind, t, p, *_ in trace
         if kind == "emit" and not p.origin.startswith("response/")
     ]
+    return [fields for _, fields in sorted(emits)]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True,

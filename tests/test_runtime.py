@@ -2,8 +2,8 @@
 timings: queueing, overflow, the departure-before-arrival tie rule on both
 queue paths, one queue per direction of a link, benign-first push-out,
 rule-enforced blackholing until idle expiry, detection timing, the
-conservation check, and agreement between the live aggregator and an
-offline trace rollup.
+conservation check, the uplinks a sweep point's FIFO cells share, and
+agreement between the live aggregator and an offline trace rollup.
 
 The default star wiring puts host0/host1 at ids 0/1, the switch at 2 and
 server0 at 3; access links run at 1 Gbps + 300 us, so a 1000-byte packet
@@ -353,8 +353,11 @@ def test_cells_that_count_different_offers_fail_the_run():
     web = BenignProfile(name="web", sources="all_hosts", dst="server0",
                         rate_pps=200.0, size=SizeDist(100), tag="gold")
     assert len({r.report.counters.total_packets
-                for r in run_cells([make_sim(), make_sim()], 0.5, benign=[web])}) == 1
-    sims = [make_sim(), make_sim()]
+                for r in run_cells([make_sim(), make_sim(vnfs=[qos_profile()])], 0.5,
+                                   benign=[web])}) == 1
+    # the FIFO cell takes host0's and host1's packets on the shared uplinks;
+    # the benign-first cell is offered each packet through its own inject
+    sims = [make_sim(), make_sim(vnfs=[qos_profile()])]
     inject, lost = sims[1].inject, []
 
     def lose_the_first(t, packet):
@@ -367,6 +370,74 @@ def test_cells_that_count_different_offers_fail_the_run():
     with pytest.raises(RuntimeError, match="offered traffic differs across cells"):
         run_cells(sims, 0.5, benign=[web])
     assert [p.id for p in lost] == [0]
+
+
+def count_schedules(sim, monkeypatch) -> Counter:
+    scheduled = Counter()
+    schedule = sim.engine.schedule
+
+    def counting(time, kind, fn, payload=None):
+        scheduled[kind.name] += 1
+        schedule(time, kind, fn, payload)
+
+    monkeypatch.setattr(sim.engine, "schedule", counting)
+    return scheduled
+
+
+def test_a_shared_uplink_costs_no_event_and_a_cells_own_uplink_keeps_its_events(monkeypatch):
+    # host0's packets take a shared uplink.  server0 answers host1's probes,
+    # so its own packets share their uplink with the cell's responses and
+    # stay per cell, as every uplink of the benign-first cell does.
+    fifo, qos = make_sim(), make_sim(vnfs=[qos_profile()])
+    scheduled = {"fifo": count_schedules(fifo, monkeypatch),
+                 "qos": count_schedules(qos, monkeypatch)}
+    benign = [
+        BenignProfile(name="web", sources=("host0",), dst="server0", rate_pps=40.0,
+                      size=SizeDist(1000), tag="gold"),
+        BenignProfile(name="probe", sources=("host1",), dst="server0", rate_pps=20.0,
+                      size=SizeDist(1000), tag="gold", request_fraction=1.0,
+                      response_size=300),
+        BenignProfile(name="push", sources=("server0",), dst="host0", rate_pps=20.0,
+                      size=SizeDist(1000), tag="gold"),
+    ]
+    # 0.5 s ends before the first monitor tick
+    results = dict(zip(scheduled, run_cells([fifo, qos], 0.5, benign=benign)))
+    for name, sim in (("fifo", fifo), ("qos", qos)):
+        sent = Counter(p.origin for kind, _, p, *_ in sim.trace if kind == "emit")
+        assert sent["benign/web"] > 10 and sent["benign/probe"] > 5 and sent["benign/push"] > 5
+        assert sent["response/benign/probe"] > 5 and not recs(sim, "qdrop")
+        # a packet on a cell's own uplink costs its arrival at the switch; a
+        # response also costs the event that sends it
+        own = sent["benign/push"] + 2 * sent["response/benign/probe"]
+        if name == "qos":
+            own += sent["benign/web"] + sent["benign/probe"]
+        # nothing waits at these rates, so the benign-first server never sleeps
+        assert scheduled[name] == Counter(PACKET_ARRIVAL=own), name
+        assert results[name].events_processed <= own
+    assert results["fifo"].report.counters == results["qos"].report.counters
+
+
+def test_a_drop_on_a_shared_uplink_reaches_every_cell_and_carried_arrivals_are_held():
+    # host0's own link serialises a 1000-byte packet in 8000 us and queues
+    # two: at 500 packets/s most of its packets are dropped there, and the
+    # packet in service at the horizon reaches the switch after it
+    slow = LinkParams(latency_us=300, bandwidth_bps=1_000_000, queue_capacity=2)
+    sims = [make_sim(per_host_access={0: slow}),
+            make_sim(per_host_access={0: slow}, vnfs=[FilterVnf(policy=GOLD_ONLY)])]
+    flood = BenignProfile(name="flood", sources=("host0",), dst="server0", rate_pps=500.0,
+                          size=SizeDist(1000), tag="gold")
+    # the run raises unless the packets in flight are all held somewhere
+    results = run_cells(sims, 0.1, benign=[flood])
+    drops = [[(r[1], r[2].id) for r in recs(sim, "qdrop")] for sim in sims]
+    assert len(drops[0]) > 20 and drops[1] == drops[0]
+    for sim, result in zip(sims, results):
+        c = result.report.counters
+        assert c.queue_dropped == len(drops[0])
+        assert result.report.benign_loss_total == len(drops[0])
+        # no last hop is late and no arrival event is queued: the packets
+        # in flight are switch arrivals carried past the horizon
+        assert sim._late_hops == 0 and sim.engine.pending(EventKind.PACKET_ARRIVAL) == 0
+        assert c.in_flight() > 0
 
 
 def test_a_run_without_traffic_reports_undefined_ratios():
