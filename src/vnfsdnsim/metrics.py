@@ -21,7 +21,7 @@ The aggregation layer folds a run's event trace into per-second windows
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .engine import US_PER_S, seconds
 from .model import Packet, PacketClass
@@ -286,6 +286,13 @@ class WindowRow:
     tdr: float | None = None
     monitored_weighted_bytes: float = 0.0
     cumulative_benign_loss: int = 0
+    # Sums the columns above are derived from, not columns; integers keep means exact.
+    latency_us: int = field(default=0, init=False, repr=False)  # of measured deliveries
+    rtt_us: int = field(default=0, init=False, repr=False)
+    rtt_n: int = field(default=0, init=False, repr=False)
+    delivered_bits: int = field(default=0, init=False, repr=False)
+    cost_us: int = field(default=0, init=False, repr=False)
+    mem_mb: float | None = field(default=None, init=False, repr=False)  # the last gauge
 
 
 @dataclass
@@ -319,33 +326,29 @@ class KpiReport:
 class WindowAggregator:
     """Streaming fold of trace records into windows and run totals.
 
-    Each record kind that carries KPIs has a method of its name taking the
-    record's fields.  The runtime calls those live; ``feed`` dispatches a
-    record tuple to them, which is how ``kpi_rollup`` folds a stored trace.
-    Both paths share this single implementation, so a rollup over a
-    collected trace reproduces the streaming result record for record.
+    Every record kind has a method of its name taking the record's fields.
+    The runtime calls those live; ``feed`` dispatches a record tuple to them,
+    which is how ``kpi_rollup`` folds a stored trace, so a rollup over a
+    collected trace reproduces the streaming result record for record.  A
+    fold adds each fact once, to its window's row; ``finalize`` sums the run
+    totals of threats, unauthorised attempts and their blocks from the rows.
+    Given ``horizon_us``, the last window ends there and also folds the
+    records stamped at or past it.
     """
 
-    def __init__(self, window_s: float = 1.0, *, memory_base_mb: float = 64.0):
+    def __init__(self, window_s: float = 1.0, *, memory_base_mb: float = 64.0,
+                 horizon_us: int | None = None):
         self.window_s = window_s
         self.window_us = seconds(window_s)
         if self.window_us < 1:
             raise ValueError(f"window length must be at least 1e-6 s, got {window_s}")
         self.memory_base_mb = memory_base_mb
+        self.horizon_us = horizon_us
         self._benign_weight = CLASS_WEIGHTS[PacketClass.BENIGN]
         self._threat_weight = CLASS_WEIGHTS[PacketClass.THREAT]
         self._unauthorized_weight = CLASS_WEIGHTS[PacketClass.UNAUTHORIZED_ACCESS]
         self.counters = KpiCounters()
         self._affected: set[int] = set()
-        # Per window: summed latency of the measured deliveries (counted by
-        # ``WindowRow.delivered_benign``), summed round trips and their count.
-        # Integer sums keep every mean exact.
-        self._latency_us: dict[int, int] = {}
-        self._rtt_us: dict[int, int] = {}
-        self._rtt_n: dict[int, int] = {}
-        self._cost_us: dict[int, int] = {}
-        self._mem: dict[int, float] = {}
-        self._delivered_bits: dict[int, int] = {}
         self._rows: dict[int, WindowRow] = {}
         self._detections: list[int] = []
 
@@ -355,19 +358,17 @@ class WindowAggregator:
         idx = t_us // self.window_us
         row = self._rows.get(idx)
         if row is None:
+            horizon = self.horizon_us
+            if idx and horizon is not None and idx * self.window_us >= horizon:
+                return self._row(horizon - 1)  # the last window ends at the horizon
             row = WindowRow(index=idx, start_s=idx * self.window_s)
             self._rows[idx] = row
         return row
 
     def feed(self, rec: tuple) -> None:
-        """Consume one trace record (the shapes are listed in ``vnfsdnsim.runtime``).
-
-        Each KPI-bearing kind goes to the fold of that name, which the
-        runtime also calls directly; the other kinds carry no KPIs.
-        """
-        fold = _FOLDS.get(rec[0])
-        if fold is not None:
-            fold(self, *rec[1:])
+        """Consume one trace record (the shapes are listed in ``vnfsdnsim.runtime``)
+        through the fold of its kind, which the runtime also calls directly."""
+        getattr(self, rec[0])(*rec[1:])
 
     def emit(self, t: int, pkt: Packet) -> None:
         row = self._row(t)
@@ -380,11 +381,9 @@ class WindowAggregator:
             row.monitored_weighted_bytes += self._benign_weight * pkt.size
         elif cls is PacketClass.THREAT:
             row.monitored_weighted_bytes += self._threat_weight * pkt.size
-            c.threat_packets += 1
             row.threat_sent += 1
         else:
             row.monitored_weighted_bytes += self._unauthorized_weight * pkt.size
-            c.unauthorized_attempts += 1
             row.unauthorized_sent += 1
         if pkt.origin.startswith("access/"):
             c.access_attempts += 1
@@ -396,14 +395,13 @@ class WindowAggregator:
         self.counters.delivered_packets += 1
         if pkt.cls is PacketClass.THREAT:
             self._affected.add(pkt.dst)
-        idx = row.index
         if pkt.measured:
             row.delivered_benign += 1
-            self._delivered_bits[idx] = self._delivered_bits.get(idx, 0) + pkt.size * 8
-            self._latency_us[idx] = self._latency_us.get(idx, 0) + t - pkt.created_at
+            row.delivered_bits += pkt.size * 8
+            row.latency_us += t - pkt.created_at
         if pkt.rtt_anchor is not None:
-            self._rtt_us[idx] = self._rtt_us.get(idx, 0) + t - pkt.rtt_anchor
-            self._rtt_n[idx] = self._rtt_n.get(idx, 0) + 1
+            row.rtt_us += t - pkt.rtt_anchor
+            row.rtt_n += 1
 
     def qdrop(self, t: int, pkt: Packet) -> None:
         row = self._row(t)
@@ -416,10 +414,8 @@ class WindowAggregator:
         c = self.counters
         c.blocked_packets += 1
         if pkt.cls is PacketClass.THREAT:
-            c.blocked_threat_packets += 1
             row.threat_blocked += 1
         elif pkt.cls is PacketClass.UNAUTHORIZED_ACCESS:
-            c.blocked_unauthorized += 1
             row.unauthorized_blocked += 1
             if pkt.origin.startswith("access/"):
                 c.failed_access += 1
@@ -427,14 +423,16 @@ class WindowAggregator:
             row.benign_blocked += 1
 
     def cost(self, t: int, cost_us: int) -> None:
-        idx = t // self.window_us
-        self._cost_us[idx] = self._cost_us.get(idx, 0) + cost_us
+        self._row(t).cost_us += cost_us
 
     def mem(self, t: int, mb: float) -> None:
-        self._mem[t // self.window_us] = mb
+        self._row(t).mem_mb = mb
 
     def detect(self, _t: int, _flow: str, latency_us: int) -> None:
         self._detections.append(latency_us)
+
+    def rule_install(self, *_fields) -> None:
+        """A drop rule carries no KPIs."""
 
     def add(self, other: WindowAggregator) -> None:
         """Add what ``other``, with the same windows and fed only ``emit`` and
@@ -444,8 +442,6 @@ class WindowAggregator:
         depend on the order the records were folded in."""
         c, o = self.counters, other.counters
         c.total_packets += o.total_packets
-        c.threat_packets += o.threat_packets
-        c.unauthorized_attempts += o.unauthorized_attempts
         c.access_attempts += o.access_attempts
         c.queue_dropped += o.queue_dropped
         for idx, theirs in other._rows.items():
@@ -476,23 +472,19 @@ class WindowAggregator:
         prev_latency_ms: float | None = None
         for row in rows:
             if row.delivered_benign:
-                row.mean_latency_ms = (
-                    self._latency_us[row.index] / row.delivered_benign / 1000.0
-                )
-            rtt_n = self._rtt_n.get(row.index)
-            if rtt_n:
-                row.mean_rtt_ms = self._rtt_us[row.index] / rtt_n / 1000.0
-            row.throughput_mbps = (
-                self._delivered_bits.get(row.index, 0) / self.window_s / 1e6
-            )
+                row.mean_latency_ms = row.latency_us / row.delivered_benign / 1000.0
+            if row.rtt_n:
+                row.mean_rtt_ms = row.rtt_us / row.rtt_n / 1000.0
+            row.throughput_mbps = row.delivered_bits / self.window_s / 1e6
             if row.sent_benign > 0:
                 row.availability_pct = min(
                     100.0, row.delivered_benign / row.sent_benign * 100.0
                 )
-                if row.availability_pct < DOWNTIME_AVAILABILITY_PCT:
-                    downtime_us += self.window_us
-            row.cpu_pct = self._cost_us.get(row.index, 0) / self.window_us * 100.0
-            mem_last = self._mem.get(row.index, mem_last)
+                if row.availability_pct < DOWNTIME_AVAILABILITY_PCT:  # up to the horizon
+                    downtime_us += min(self.window_us, duration_us - row.index * self.window_us)
+            row.cpu_pct = row.cost_us / self.window_us * 100.0
+            if row.mem_mb is not None:
+                mem_last = row.mem_mb
             row.memory_mb = mem_last
             if row.threat_sent > 0:
                 row.tdr = row.threat_blocked / row.threat_sent
@@ -507,19 +499,23 @@ class WindowAggregator:
                 prev_latency_ms = row.mean_latency_ms
 
         c.downtime_us = min(downtime_us, c.uptime_us)
+        c.threat_packets = sum(r.threat_sent for r in rows)
+        c.blocked_threat_packets = sum(r.threat_blocked for r in rows)
+        c.unauthorized_attempts = sum(r.unauthorized_sent for r in rows)
+        c.blocked_unauthorized = sum(r.unauthorized_blocked for r in rows)
         c.check()
 
         benign_sent = sum(r.sent_benign for r in rows)
         benign_delivered = sum(r.delivered_benign for r in rows)
-        rtts = sum(self._rtt_n.values())
+        rtts = sum(r.rtt_n for r in rows)
         jitters = [r.jitter_ms for r in rows if r.jitter_ms is not None]
         avails = [r.availability_pct for r in rows if r.availability_pct is not None]
         mean_latency_ms = (
-            sum(self._latency_us.values()) / benign_delivered / 1000.0
+            sum(r.latency_us for r in rows) / benign_delivered / 1000.0
             if benign_delivered
             else None
         )
-        mean_rtt_ms = sum(self._rtt_us.values()) / rtts / 1000.0 if rtts else None
+        mean_rtt_ms = sum(r.rtt_us for r in rows) / rtts / 1000.0 if rtts else None
         detection_ms = (
             sum(self._detections) / len(self._detections) / 1000.0
             if self._detections
@@ -550,25 +546,17 @@ class WindowAggregator:
             mean_rtt_ms=mean_rtt_ms,
             detection_time_ms=detection_ms,
             response_time_ms=response_ms,
-            throughput_mbps=sum(self._delivered_bits.values()) / duration_s / 1e6
+            throughput_mbps=sum(r.delivered_bits for r in rows) / duration_s / 1e6
             if duration_s > 0
             else 0.0,
             availability_pct=sum(avails) / len(avails) if avails else None,
-            cpu_pct=sum(self._cost_us.values()) / duration_us * 100.0,
+            cpu_pct=sum(r.cost_us for r in rows) / duration_us * 100.0,
             memory_mb_mean=sum(mems) / len(mems),
             memory_mb_max=max(mems),
             benign_sent=benign_sent,
             benign_delivered=benign_delivered,
             benign_loss_total=cumulative_loss,
         )
-
-
-#: The fold of each KPI-bearing record kind; rule_install records carry
-#: no KPIs.
-_FOLDS = {
-    kind: getattr(WindowAggregator, kind)
-    for kind in ("emit", "deliver", "qdrop", "block", "cost", "mem", "detect")
-}
 
 
 def kpi_rollup(
@@ -583,12 +571,9 @@ def kpi_rollup(
     ``duration_us``, the horizon ends with the last record's window."""
     if not trace and duration_us is None:
         raise EmptyTrace("cannot roll up an empty trace without duration_us")
-    agg = WindowAggregator(window_s, **aggregator_kwargs)
-    last_t = 0
+    agg = WindowAggregator(window_s, horizon_us=duration_us, **aggregator_kwargs)
     for rec in trace:
         agg.feed(rec)
-        if rec[1] > last_t:
-            last_t = rec[1]
     if duration_us is None:
-        duration_us = ((last_t // agg.window_us) + 1) * agg.window_us
+        duration_us = (max(rec[1] for rec in trace) // agg.window_us + 1) * agg.window_us
     return agg.finalize(duration_us, devices_total)

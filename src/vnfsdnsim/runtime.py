@@ -35,14 +35,15 @@ offered the very same packet objects.  An offered packet is not an event.
 The offered half of its path (the ``emit`` record, the source's uplink and
 the arrival at the switch) is the same in every FIFO cell unless its source
 also sends responses, so ``SharedUplinks`` runs it once per point: every
-endpoint that no stream with a ``request_fraction`` targets has one uplink
-for all the FIFO cells, and each of them is fed the resulting switch
-arrivals beside its event heap.  A responder's uplink carries the cell's
-own responses too, so it stays per cell, as does every uplink of a
-benign-first cell; an offered packet on such an uplink is handed to
-``inject`` at its creation time.  At one microsecond a cell's heap events
-go first, then its fed switch arrivals by packet id, then the offered
-packets it injects itself.  A response enters through ``inject`` from an
+stream source that answers no request (that no stream with a
+``request_fraction`` targets) has one uplink for all the FIFO cells, in
+place of theirs, and each of them is fed the resulting switch arrivals
+beside its event heap.  Every other uplink stays per cell: a responder's,
+which carries the cell's responses too, one that carries nothing, and each
+of a benign-first cell; an offered packet on it is handed to ``inject`` at
+its creation time.  At one microsecond a cell's heap events go first, then
+its fed switch arrivals by packet id, then the offered packets it injects
+itself.  A response enters through ``inject`` from an
 event and takes the cell's next id of -1, -2, ...
 
 A switch arrival from a cell's own uplink is an event, which carries the
@@ -70,15 +71,15 @@ any reporting delay of the detecting profile.  A drop rule that has gone
 idle matches nothing; no event removes it.
 
 The runtime emits a flat stream of trace records that the window
-aggregator folds into KPIs; the hot packet records go straight to the
-aggregator's fold of their kind, and the rest through its ``feed``.  The
-same records can optionally be collected for offline rollups and
-assertions.  A ``deliver`` is collected when it is recorded, ahead of its
-``t``, and a FIFO cell collects the ``emit`` and ``qdrop`` records of its
-shared uplinks a slice at a time, ahead of the slice's other records, so a
-collected trace is not sorted by ``t``.  Packets are immutable,
-so a packet record holds the packet itself.  The record shapes, ``t`` in
-microseconds:
+aggregator folds into KPIs: every record goes straight to the aggregator's
+fold of its kind, and the tuple is built only when the cell collects the
+records for offline rollups and assertions (``feed`` folds such a tuple).
+A ``deliver`` is collected when it is recorded, ahead of its ``t``.  The
+``emit`` and ``qdrop`` records of the shared uplinks are folded once per
+point, and each FIFO cell adds that fold, and appends those records to its
+trace, at ``finish``; so a collected trace is not sorted by ``t``.
+Packets are immutable, so a packet record holds the packet itself.  The
+record shapes, ``t`` in microseconds:
 
 - ``("emit", t, packet)``: the packet entered the network at its source;
 - ``("deliver", t, packet)``: it reached its destination;
@@ -191,36 +192,34 @@ _TIME = itemgetter(0)
 class SharedUplinks:
     """The offered half of a sweep point's data path, run once for its FIFO cells.
 
-    An endpoint that no stream sends a request to carries only offered
+    A stream source that no stream sends a request to carries only offered
     packets up its link, the same in every FIFO cell; its uplink is kept
     here, once for the point.  Each slice folds those packets' ``emit`` and
     ``qdrop`` records into ``fold`` (kept in ``records`` when a cell
-    collects a trace), enters each hostile flow's first emission, and turns
-    every packet that fits its uplink into a switch arrival.  ``advance``
-    returns the FIFO cells' feed up to the slice end: those arrivals by
-    (time, packet id), and then, at an equal microsecond, the packets
-    offered on the responders' own uplinks.  Arrivals past the slice end are
-    ``carried`` into the next; those left at the horizon are in flight.
+    collects a trace), which each FIFO cell adds to its own at ``finish``,
+    enters each hostile flow's first emission, and turns every packet that
+    fits its uplink into a switch arrival.  ``advance`` returns the FIFO
+    cells' feed up to the slice end: those arrivals by (time, packet id),
+    and then, at an equal microsecond, the packets offered on the cells' own
+    uplinks.  Arrivals past the slice end are ``carried`` into the next;
+    those left at the horizon are in flight.
     """
 
-    def __init__(self, topology: StarSpec, responders: set[NodeId], window_s: float,
+    def __init__(self, topology: StarSpec, sources: set[NodeId], window_s: float,
                  keep_records: bool):
         self.uplinks = {end: FifoQueue(link, down=False)
-                        for end, link in topology.links().items() if end not in responders}
+                        for end, link in topology.links().items() if end in sources}
         self.first_threat_emit: dict[Flow, int] = {}
         self.carried: list[tuple[SimTime, Packet]] = []
         self.fold = WindowAggregator(window_s)
         self.records: list[tuple] | None = [] if keep_records else None
-        self._window_s = window_s
+        self._emit = _recorder(self.fold, "emit", self.records)
+        self._qdrop = _recorder(self.fold, "qdrop", self.records)
 
     def advance(self, end_us: SimTime,
                 offered: list[tuple[SimTime, Packet]]) -> list[tuple[SimTime, Packet]]:
         """Run one slice's ``offered`` packets up the shared uplinks."""
-        self.fold = WindowAggregator(self._window_s)
-        if self.records is not None:
-            self.records = []
-        emit = _recorder(self.fold, "emit", self.records)
-        qdrop = _recorder(self.fold, "qdrop", self.records)
+        emit, qdrop = self._emit, self._qdrop
         uplinks, first_threat_emit = self.uplinks, self.first_threat_emit
         fed, own = self.carried, []
         for t, packet in offered:
@@ -292,13 +291,16 @@ class NetworkSim:
         self._report_delay_us = max((p.detection_delay_us for p in profiles), default=0)
         self.aggregator = WindowAggregator(window_s, memory_base_mb=memory_base_mb)
         self.trace: list[tuple] | None = [] if collect_trace else None
-        # The per-packet records skip the tuple and ``feed``'s dispatch.
+        # Records skip the tuple, unless the trace keeps it, and ``feed``'s dispatch.
         agg, trace = self.aggregator, self.trace
         self._rec_emit = _recorder(agg, "emit", trace)
         self._rec_deliver = _recorder(agg, "deliver", trace)
         self._rec_qdrop = _recorder(agg, "qdrop", trace)
         self._rec_block = _recorder(agg, "block", trace)
         self._rec_cost = _recorder(agg, "cost", trace)
+        self._rec_mem = _recorder(agg, "mem", trace)
+        self._rec_detect = _recorder(agg, "detect", trace)
+        self._rec_rule_install = _recorder(agg, "rule_install", trace)
 
         # Each endpoint's link to the switch queues each direction on its
         # own: up to the switch and down from it.
@@ -312,19 +314,10 @@ class NetworkSim:
         self._responses = 0  # responses injected so far; the n-th has id -n
         self._first_threat_emit: dict[Flow, int] = {}
         self._shared: SharedUplinks | None = None
-        self._shared_up: dict[NodeId, FifoQueue] = {}  # uplinks run for the point, not the cell
         self._detected_flows: set[Flow] = set()
         self._duration_s = 0.0
         self._duration_us: SimTime = 0
         self._late_hops = 0  # last hops that arrive after the horizon
-
-    # ------------------------------------------------------------------
-    # trace plumbing
-
-    def _record(self, rec: tuple) -> None:
-        self.aggregator.feed(rec)
-        if self.trace is not None:
-            self.trace.append(rec)
 
     # ------------------------------------------------------------------
     # packet lifecycle
@@ -400,11 +393,11 @@ class NetworkSim:
             self._transmit(self._down[packet.dst], packet, t)
 
     def _on_fed(self, t: SimTime, packet: Packet) -> None:
-        """A fed packet: at the switch when it took a shared uplink, else offered."""
-        if packet.src in self._shared_up:
-            self._on_arrival(t, packet)
-        else:
+        """A fed packet: offered on the cell's own uplink, else past a shared one."""
+        if packet.src in self._up:
             self.inject(t, packet)
+        else:
+            self._on_arrival(t, packet)
 
     # ------------------------------------------------------------------
     # security enforcement
@@ -431,13 +424,13 @@ class NetworkSim:
         return False
 
     def _on_rule_installed(self, rule: FlowRule, packet: Packet, t: SimTime) -> None:
-        self._record(("rule_install", t, *rule.key, rule.reason))
+        self._rec_rule_install(t, *rule.key, rule.reason)
         flow = rule.key
         if packet.cls is PacketClass.THREAT and flow not in self._detected_flows:
             self._detected_flows.add(flow)
             first_emit = self._first_threat_emit.get(flow, packet.created_at)
             name = "{}->{}/{}".format(*flow)
-            self._record(("detect", t, name, rule.installed_at - first_emit))
+            self._rec_detect(t, name, rule.installed_at - first_emit)
 
     # ------------------------------------------------------------------
     # responses
@@ -465,7 +458,7 @@ class NetworkSim:
     # monitoring
 
     def _on_monitor_tick(self, t: SimTime, _payload) -> None:
-        self._record(("mem", t, self._memory_mb(t)))
+        self._rec_mem(t, self._memory_mb(t))
         nxt = t + self.monitor_interval_us
         if nxt < self._duration_us:
             self.engine.schedule(nxt, EventKind.MONITOR_SAMPLE, self._on_monitor_tick)
@@ -498,15 +491,15 @@ class NetworkSim:
 
     def start(self, duration_s: float, shared: SharedUplinks | None = None) -> None:
         """Set the horizon and schedule the first monitor tick.  A FIFO cell
-        given ``shared`` is fed the switch arrivals of the shared uplinks
-        instead of their offered packets, and counts those still carried at
-        the end as held."""
+        given ``shared`` drops the uplinks it shares, is fed their switch
+        arrivals instead of their offered packets, adds their records at
+        ``finish`` and counts the arrivals still carried then as held."""
         if shared is not None:
             self._shared = shared
-            self._shared_up = shared.uplinks
+            self._up = {end: q for end, q in self._up.items() if end not in shared.uplinks}
             self._first_threat_emit = shared.first_threat_emit
         self._duration_s = duration_s
-        self._duration_us = seconds(duration_s)
+        self._duration_us = self.aggregator.horizon_us = seconds(duration_s)
         if self.monitor_interval_us < self._duration_us:
             self.engine.schedule(
                 self.monitor_interval_us, EventKind.MONITOR_SAMPLE, self._on_monitor_tick
@@ -521,8 +514,12 @@ class NetworkSim:
         """Run to the horizon, fold the KPI report, raise if a packet in
         flight is not held anywhere, and save the capture."""
         self.engine.run_until(self._duration_us)
+        if self._shared is not None:
+            self.aggregator.add(self._shared.fold)
+            if self.trace is not None:
+                self.trace += self._shared.records
         # KPIs are reported over the endpoints, one per link, not the switch.
-        report = self.aggregator.finalize(self._duration_us, len(self._up))
+        report = self.aggregator.finalize(self._duration_us, len(self._down))
         self._check_conservation(report.counters.in_flight())
         if self.capture is not None and self.capture.monitoring:
             self.capture.stop_and_save()
@@ -559,10 +556,11 @@ def run_cells(
 
     The profiles' packets are drawn once, in ``offered_chunks`` slices, and
     every slice is fed to every cell before the next is drawn.  The FIFO
-    cells share the uplinks that carry no response (``SharedUplinks``): a
-    slice runs up them once, its records are added to each FIFO cell, and
-    each is fed the resulting switch arrivals.  A benign-first cell is fed
-    the offered packets themselves.  Each cell then finishes in order.
+    cells share the uplinks of the stream sources that answer no request
+    (``SharedUplinks``): a slice runs up them once and each FIFO cell is fed
+    the resulting switch arrivals.  A benign-first cell is fed the offered
+    packets themselves.  Each cell then finishes in order, a FIFO cell
+    adding the shared records to its own.
     Raise unless every cell counted the same offered traffic: the threats,
     the unauthorised attempts, the measured benign packets and every packet
     but the responses.
@@ -577,17 +575,14 @@ def run_cells(
     shared = None
     if fifo:
         responders = {s.dst for s in streams if s.request_fraction > 0}
-        shared = SharedUplinks(first.topology, responders, fifo[0].aggregator.window_s,
+        shared = SharedUplinks(first.topology, {s.src for s in streams} - responders,
+                               fifo[0].aggregator.window_s,
                                any(sim.trace is not None for sim in fifo))
     for sim in sims:
         sim.start(duration_s, None if sim.qos_priority else shared)
     for end_us, offered in offered_chunks(first.engine.seed, streams, seconds(duration_s)):
         if shared is not None:
             fed = shared.advance(end_us, offered)
-            for sim in fifo:
-                sim.aggregator.add(shared.fold)
-                if sim.trace is not None:
-                    sim.trace += shared.records
         for sim in sims:
             sim.advance(end_us, offered if sim.qos_priority else fed)
     results = [sim.finish() for sim in sims]

@@ -413,10 +413,10 @@ def _value_type(owner: type, attr: str) -> type:
     return next(t for t in get_args(hint) or (hint,) if t is not type(None))
 
 
-# Window columns: the WindowRow fields in declaration order, with ``index``
-# written as ``window``.
+# Window columns: the WindowRow fields a row is built from, in declaration
+# order, with ``index`` written as ``window``; the window sums are not columns.
 _WINDOW_COLUMNS = tuple(
-    ("window" if f.name == "index" else f.name, f) for f in fields(WindowRow)
+    ("window" if f.name == "index" else f.name, f) for f in fields(WindowRow) if f.init
 )
 
 

@@ -452,6 +452,49 @@ def test_aggregator_window_means_count_each_delivery_once():
     assert report.mean_rtt_ms == pytest.approx(31 / 3)
 
 
+def test_a_partial_last_window_of_downtime_counts_its_own_length():
+    # 1.5 s with 1 s windows: the last window is half a second long and down
+    up, down = _packet(1, 10), _packet(2, SECOND + 10)
+    trace = [("emit", 10, up), ("deliver", 1_010, up), ("emit", SECOND + 10, down)]
+    report = kpi_rollup(trace, window_s=1.0, duration_us=SECOND + SECOND // 2)
+    assert [w.availability_pct for w in report.windows] == [100.0, 0.0]
+    assert report.counters.downtime_us == SECOND // 2
+    assert report.reliability == pytest.approx(2 / 3)
+
+
+def test_adding_a_fold_equals_folding_its_records():
+    # Records folded once for several runs, the emit and qdrop records of
+    # shared uplinks, are added to each run's own fold; the sum must equal
+    # folding those records directly, in both windows
+    records = []
+    for t in (10, SECOND + 10):
+        measured = _packet(t, t)
+        unmeasured = replace(_packet(t + 1, t, size=300), measured=False)
+        threat = _packet(t + 2, t, PacketClass.THREAT, 800, "ddos/x", src=1)
+        probe = _packet(t + 3, t, PacketClass.UNAUTHORIZED_ACCESS, 200, "access/u", src=2)
+        scan = _packet(t + 4, t, PacketClass.UNAUTHORIZED_ACCESS, 100, "scan/u", src=3)
+        records += [("emit", t, p) for p in (measured, unmeasured, threat, probe, scan)]
+        records += [("qdrop", t + 5, p) for p in (measured, threat)]
+    mine = _packet(99, 20)
+    own = [("emit", 20, mine), ("deliver", 30, mine), ("block", SECOND + 20, probe, "policy")]
+
+    direct, scratch, added = (WindowAggregator(window_s=1.0) for _ in range(3))
+    for rec in own + records:
+        direct.feed(rec)
+    for rec in records:
+        scratch.feed(rec)
+    for rec in own:
+        added.feed(rec)
+    added.add(scratch)
+    want = direct.finalize(2 * SECOND, devices_total=4)
+    assert added.finalize(2 * SECOND, devices_total=4) == want
+    c = want.counters
+    assert (c.total_packets, c.queue_dropped, c.access_attempts) == (11, 4, 2)
+    assert (c.threat_packets, c.unauthorized_attempts, c.blocked_unauthorized) == (2, 4, 1)
+    assert [(w.sent_benign, w.benign_queue_drops) for w in want.windows] == [(2, 1), (1, 1)]
+    assert want.windows[1].monitored_weighted_bytes == 1000 + 300 + 2 * (800 + 200 + 100)
+
+
 def test_aggregator_availability_capped_at_100():
     agg = WindowAggregator(window_s=1.0)
     # a packet emitted in window 0 but delivered in window 1 can push the

@@ -49,12 +49,13 @@ SLOW_TRUNK = LinkParams(latency_us=800, bandwidth_bps=1_000_000, queue_capacity=
 FAR_ACCESS = LinkParams(latency_us=10_000, bandwidth_bps=1_000_000_000, queue_capacity=64)
 
 
-def make_sim(*, vnfs=(), ctrl=ControllerSettings(), seed=1, hosts=2, **links):
+def make_sim(*, vnfs=(), ctrl=ControllerSettings(), seed=1, hosts=2, window_s=1.0, **links):
     topology = StarSpec(hosts=hosts, **links)
     engine = SimEngine(seed)
     controller = Controller(topology, ctrl)
     return NetworkSim(
-        topology, engine, controller, VnfChain(list(vnfs)), collect_trace=True,
+        topology, engine, controller, VnfChain(list(vnfs)), window_s=window_s,
+        collect_trace=True,
     )
 
 
@@ -118,6 +119,19 @@ def test_a_last_hop_counts_when_it_arrives_by_the_horizon(qos, sent_at, delivere
     assert (counters.delivered_packets, counters.in_flight()) == (
         (1, 0) if delivered else (0, 1)
     )
+
+
+def test_a_delivery_at_the_horizon_falls_in_the_last_window():
+    # one window of exactly the 1188 us a packet sent at 0 needs to reach
+    # server0: its delivery, stamped at the horizon, opens no second window
+    sim = make_sim(window_s=0.001188)
+    inject_at(sim, 0, pid=7)
+    report = sim.run(0.001188).report
+    assert [r[1] for r in recs(sim, "deliver")] == [1188]
+    (window,) = report.windows
+    assert (window.sent_benign, window.delivered_benign) == (1, 1)
+    assert window.availability_pct == 100.0 and report.reliability == 1.0
+    assert kpi_rollup(sim.trace, 0.001188, duration_us=1188, devices_total=3) == report
 
 
 def test_fifo_queueing_delays_the_second_packet():
@@ -415,6 +429,36 @@ def test_a_shared_uplink_costs_no_event_and_a_cells_own_uplink_keeps_its_events(
         assert scheduled[name] == Counter(PACKET_ARRIVAL=own), name
         assert results[name].events_processed <= own
     assert results["fifo"].report.counters == results["qos"].report.counters
+
+
+def test_each_link_direction_has_one_queue():
+    # host0 and host1 send and answer no request; server0 answers host1's
+    # probes and pushes its own packets; host2 sends nothing
+    fifo, qos = make_sim(hosts=3), make_sim(hosts=3, vnfs=[qos_profile()])
+    ids = fifo.topology.ids
+    benign = [
+        BenignProfile(name="web", sources=("host0",), dst="server0", rate_pps=40.0,
+                      size=SizeDist(1000), tag="gold"),
+        BenignProfile(name="probe", sources=("host1",), dst="server0", rate_pps=20.0,
+                      size=SizeDist(1000), tag="gold", request_fraction=1.0,
+                      response_size=300),
+        BenignProfile(name="push", sources=("server0",), dst="host0", rate_pps=20.0,
+                      size=SizeDist(1000), tag="gold"),
+    ]
+    for sim in (fifo, qos):
+        inject_at(sim, 1_000, pid=-100, src=ids["host2"])
+    run_cells([fifo, qos], 0.5, benign=benign)
+    own, shared = set(fifo._up), set(fifo._shared.uplinks)
+    endpoints = set(fifo.topology.links())
+    assert own | shared == endpoints and not own & shared
+    # the shared uplinks are the stream sources that no request stream targets
+    assert shared == {ids["host0"], ids["host1"]}
+    # an endpoint that sends nothing keeps its own uplink, and it carries
+    assert own == {ids["host2"], ids["server0"]}
+    for sim in (fifo, qos):
+        assert [r[1] for r in recs(sim, "deliver") if r[2].id == -100] == [1_000 + 1188]
+    # a benign-first cell shares nothing
+    assert set(qos._up) == endpoints and qos._shared is None
 
 
 def test_a_drop_on_a_shared_uplink_reaches_every_cell_and_carried_arrivals_are_held():
