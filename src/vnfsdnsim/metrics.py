@@ -1,6 +1,6 @@
 """Security and performance metrics.
 
-Two layers live here.  The counter formulas turn run totals into the
+Three layers live here.  The counter formulas turn run totals into the
 headline security ratios (share of traffic that got through, threat
 detection rate, unauthorized-blocking rate, endpoint exposure, access
 outcome rate, reliability).  A ratio whose denominator is zero is
@@ -16,6 +16,9 @@ strictly with n for the size-helps-security hypothesis to hold.
 
 The aggregation layer folds a run's event trace into per-second windows
 (latency, jitter, throughput, availability, CPU, memory) plus run totals.
+It is the only place a KPI is computed: each window's rates are over its
+own span, which the horizon cuts short for the last window, and the run's
+are the same formulas over the windows summed and the horizon.
 """
 
 from __future__ import annotations
@@ -294,6 +297,30 @@ class WindowRow:
     cost_us: int = field(default=0, init=False, repr=False)
     mem_mb: float | None = field(default=None, init=False, repr=False)  # the last gauge
 
+    def set_rates(self, span_us: int) -> None:
+        """Set the means from the sums, and the rates over ``span_us``."""
+        if self.delivered_benign:
+            self.mean_latency_ms = self.latency_us / self.delivered_benign / 1000.0
+        if self.rtt_n:
+            self.mean_rtt_ms = self.rtt_us / self.rtt_n / 1000.0
+        self.throughput_mbps = self.delivered_bits / (span_us / US_PER_S) / 1e6
+        self.cpu_pct = self.cost_us / span_us * 100.0
+
+    def add(self, other: WindowRow) -> None:
+        """Add ``other``'s sums (``ROW_SUMS``) to this row's."""
+        for name in ROW_SUMS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
+
+#: The WindowRow fields that folds add to (``mem_mb`` is a gauge, not a sum):
+#: the run total sums them over the windows, and ``WindowAggregator.add`` adds
+#: another fold's.
+ROW_SUMS = (
+    "sent_benign", "delivered_benign", "benign_queue_drops", "benign_blocked",
+    "threat_sent", "threat_blocked", "unauthorized_sent", "unauthorized_blocked",
+    "monitored_weighted_bytes", "latency_us", "rtt_us", "rtt_n", "delivered_bits", "cost_us",
+)
+
 
 @dataclass
 class KpiReport:
@@ -315,6 +342,8 @@ class KpiReport:
     response_time_ms: float | None
     throughput_mbps: float
     availability_pct: float | None
+    availability_min_pct: float | None
+    availability_peak_pct: float | None
     cpu_pct: float
     memory_mb_mean: float
     memory_mb_max: float
@@ -330,10 +359,9 @@ class WindowAggregator:
     The runtime calls those live; ``feed`` dispatches a record tuple to them,
     which is how ``kpi_rollup`` folds a stored trace, so a rollup over a
     collected trace reproduces the streaming result record for record.  A
-    fold adds each fact once, to its window's row; ``finalize`` sums the run
-    totals of threats, unauthorised attempts and their blocks from the rows.
-    Given ``horizon_us``, the last window ends there and also folds the
-    records stamped at or past it.
+    fold adds each fact once, to its window's row.  The last window ends at
+    ``horizon_us``, which ``finalize`` needs, and also folds the records
+    stamped at or past it.
     """
 
     def __init__(self, window_s: float = 1.0, *, memory_base_mb: float = 64.0,
@@ -445,44 +473,39 @@ class WindowAggregator:
         c.access_attempts += o.access_attempts
         c.queue_dropped += o.queue_dropped
         for idx, theirs in other._rows.items():
-            row = self._row(idx * self.window_us)
-            row.sent_benign += theirs.sent_benign
-            row.threat_sent += theirs.threat_sent
-            row.unauthorized_sent += theirs.unauthorized_sent
-            row.benign_queue_drops += theirs.benign_queue_drops
-            row.monitored_weighted_bytes += theirs.monitored_weighted_bytes
+            self._row(idx * self.window_us).add(theirs)
 
     # -- finalising --------------------------------------------------------
 
-    def finalize(self, duration_us: int, devices_total: int) -> KpiReport:
+    def finalize(self, devices_total: int) -> KpiReport:
+        """The report: each window's rates over its span, the run's over the
+        horizon and the windows summed (``ROW_SUMS``)."""
+        horizon = self.horizon_us
+        if horizon is None:
+            raise ValueError("finalize needs the aggregator's horizon_us")
         c = self.counters
         c.devices_total = devices_total
         c.devices_affected = len(self._affected)
-        c.uptime_us = duration_us
+        c.uptime_us = horizon
 
-        n_windows = max(
-            (duration_us + self.window_us - 1) // self.window_us,
-            max(self._rows) + 1 if self._rows else 0,
-        )
+        n_windows = (horizon + self.window_us - 1) // self.window_us
         rows = [self._rows.get(i) or WindowRow(i, i * self.window_s) for i in range(n_windows)]
 
+        total = WindowRow(0, 0.0)
         mem_last = self.memory_base_mb
         cumulative_loss = 0
         downtime_us = 0
         prev_latency_ms: float | None = None
         for row in rows:
-            if row.delivered_benign:
-                row.mean_latency_ms = row.latency_us / row.delivered_benign / 1000.0
-            if row.rtt_n:
-                row.mean_rtt_ms = row.rtt_us / row.rtt_n / 1000.0
-            row.throughput_mbps = row.delivered_bits / self.window_s / 1e6
+            total.add(row)
+            span_us = min(self.window_us, horizon - row.index * self.window_us)
+            row.set_rates(span_us)
             if row.sent_benign > 0:
                 row.availability_pct = min(
                     100.0, row.delivered_benign / row.sent_benign * 100.0
                 )
-                if row.availability_pct < DOWNTIME_AVAILABILITY_PCT:  # up to the horizon
-                    downtime_us += min(self.window_us, duration_us - row.index * self.window_us)
-            row.cpu_pct = row.cost_us / self.window_us * 100.0
+                if row.availability_pct < DOWNTIME_AVAILABILITY_PCT:
+                    downtime_us += span_us
             if row.mem_mb is not None:
                 mem_last = row.mem_mb
             row.memory_mb = mem_last
@@ -498,24 +521,16 @@ class WindowAggregator:
                     row.jitter_ms = abs(row.mean_latency_ms - prev_latency_ms)
                 prev_latency_ms = row.mean_latency_ms
 
+        total.set_rates(horizon)
         c.downtime_us = min(downtime_us, c.uptime_us)
-        c.threat_packets = sum(r.threat_sent for r in rows)
-        c.blocked_threat_packets = sum(r.threat_blocked for r in rows)
-        c.unauthorized_attempts = sum(r.unauthorized_sent for r in rows)
-        c.blocked_unauthorized = sum(r.unauthorized_blocked for r in rows)
+        c.threat_packets = total.threat_sent
+        c.blocked_threat_packets = total.threat_blocked
+        c.unauthorized_attempts = total.unauthorized_sent
+        c.blocked_unauthorized = total.unauthorized_blocked
         c.check()
 
-        benign_sent = sum(r.sent_benign for r in rows)
-        benign_delivered = sum(r.delivered_benign for r in rows)
-        rtts = sum(r.rtt_n for r in rows)
         jitters = [r.jitter_ms for r in rows if r.jitter_ms is not None]
         avails = [r.availability_pct for r in rows if r.availability_pct is not None]
-        mean_latency_ms = (
-            sum(r.latency_us for r in rows) / benign_delivered / 1000.0
-            if benign_delivered
-            else None
-        )
-        mean_rtt_ms = sum(r.rtt_us for r in rows) / rtts / 1000.0 if rtts else None
         detection_ms = (
             sum(self._detections) / len(self._detections) / 1000.0
             if self._detections
@@ -525,14 +540,12 @@ class WindowAggregator:
         # mean time the control plane needed to react to hostile flows
         # (zero when nothing was ever detected).
         response_ms = None
-        if mean_rtt_ms is not None:
-            response_ms = mean_rtt_ms + (detection_ms or 0.0)
-
-        duration_s = duration_us / US_PER_S
-        mems = [r.memory_mb for r in rows] or [self.memory_base_mb]
+        if total.mean_rtt_ms is not None:
+            response_ms = total.mean_rtt_ms + (detection_ms or 0.0)
+        mems = [r.memory_mb for r in rows]
 
         return KpiReport(
-            duration_s=duration_s,
+            duration_s=horizon / US_PER_S,
             counters=c,
             windows=rows,
             secure_traffic_pct=secure_traffic_pct(c),
@@ -541,20 +554,20 @@ class WindowAggregator:
             exposure=exposure_ratio(c),
             access_outcome=access_outcome_rate(c),
             reliability=reliability_ratio(c),
-            mean_latency_ms=mean_latency_ms,
+            mean_latency_ms=total.mean_latency_ms,
             jitter_ms=sum(jitters) / len(jitters) if jitters else None,
-            mean_rtt_ms=mean_rtt_ms,
+            mean_rtt_ms=total.mean_rtt_ms,
             detection_time_ms=detection_ms,
             response_time_ms=response_ms,
-            throughput_mbps=sum(r.delivered_bits for r in rows) / duration_s / 1e6
-            if duration_s > 0
-            else 0.0,
+            throughput_mbps=total.throughput_mbps,
             availability_pct=sum(avails) / len(avails) if avails else None,
-            cpu_pct=sum(r.cost_us for r in rows) / duration_us * 100.0,
+            availability_min_pct=min(avails, default=None),
+            availability_peak_pct=max(avails, default=None),
+            cpu_pct=total.cpu_pct,
             memory_mb_mean=sum(mems) / len(mems),
             memory_mb_max=max(mems),
-            benign_sent=benign_sent,
-            benign_delivered=benign_delivered,
+            benign_sent=total.sent_benign,
+            benign_delivered=total.delivered_benign,
             benign_loss_total=cumulative_loss,
         )
 
@@ -572,8 +585,8 @@ def kpi_rollup(
     if not trace and duration_us is None:
         raise EmptyTrace("cannot roll up an empty trace without duration_us")
     agg = WindowAggregator(window_s, horizon_us=duration_us, **aggregator_kwargs)
+    if duration_us is None:
+        agg.horizon_us = (max(rec[1] for rec in trace) // agg.window_us + 1) * agg.window_us
     for rec in trace:
         agg.feed(rec)
-    if duration_us is None:
-        duration_us = (max(rec[1] for rec in trace) // agg.window_us + 1) * agg.window_us
-    return agg.finalize(duration_us, devices_total)
+    return agg.finalize(devices_total)

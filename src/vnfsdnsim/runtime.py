@@ -108,8 +108,6 @@ from .sdn import Controller, FlowRule
 from .traffic import AccessProfile, BenignProfile, DdosProfile, offered_chunks
 from .vnf import FORWARD, CaptureVnf, MitigationProfile, VnfChain
 
-#: Estimated state per tracked intrusion-detection source, for the memory gauge.
-IDS_KB_PER_SOURCE = 4.0
 #: Estimated state per installed flow rule.
 RULE_KB = 0.5
 
@@ -249,7 +247,6 @@ class RunResult:
     """Everything a finished run reports."""
 
     seed: int
-    duration_s: float
     report: KpiReport
     events_processed: int
     event_hash: str
@@ -315,7 +312,6 @@ class NetworkSim:
         self._first_threat_emit: dict[Flow, int] = {}
         self._shared: SharedUplinks | None = None
         self._detected_flows: set[Flow] = set()
-        self._duration_s = 0.0
         self._duration_us: SimTime = 0
         self._late_hops = 0  # last hops that arrive after the horizon
 
@@ -409,7 +405,7 @@ class NetworkSim:
             self._rec_block(t, packet, rule.reason)
             return False
         verdict, cost = self.chain.process(packet, t)
-        if self.capture is not None and self.capture.monitoring and verdict is not FORWARD:
+        if self.capture is not None and verdict is not FORWARD:
             # The capture tap keeps evidence of what the chain rejected.
             self.capture.capture(packet, verdict, t)
             cost += self.capture.cost_us
@@ -464,13 +460,7 @@ class NetworkSim:
             self.engine.schedule(nxt, EventKind.MONITOR_SAMPLE, self._on_monitor_tick)
 
     def _memory_mb(self, t: SimTime) -> float:
-        kb = 0.0
-        for vnf in self.chain.vnfs:
-            if isinstance(vnf, MitigationProfile):
-                kb += vnf.tracked_flows * vnf.settings.memory_kb_per_flow
-            tracked = getattr(vnf, "tracked_sources", None)
-            if tracked is not None:
-                kb += tracked * IDS_KB_PER_SOURCE
+        kb = sum(vnf.state_kb for vnf in self.chain.vnfs)
         kb += self.controller.active_rule_count(t) * RULE_KB
         return self.memory_base_mb + kb / 1024.0
 
@@ -498,7 +488,6 @@ class NetworkSim:
             self._shared = shared
             self._up = {end: q for end, q in self._up.items() if end not in shared.uplinks}
             self._first_threat_emit = shared.first_threat_emit
-        self._duration_s = duration_s
         self._duration_us = self.aggregator.horizon_us = seconds(duration_s)
         if self.monitor_interval_us < self._duration_us:
             self.engine.schedule(
@@ -519,13 +508,12 @@ class NetworkSim:
             if self.trace is not None:
                 self.trace += self._shared.records
         # KPIs are reported over the endpoints, one per link, not the switch.
-        report = self.aggregator.finalize(self._duration_us, len(self._down))
+        report = self.aggregator.finalize(len(self._down))
         self._check_conservation(report.counters.in_flight())
-        if self.capture is not None and self.capture.monitoring:
+        if self.capture is not None:
             self.capture.stop_and_save()
         return RunResult(
             seed=self.engine.seed,
-            duration_s=self._duration_s,
             report=report,
             events_processed=self.engine.processed,
             event_hash=self.engine.event_hash(),

@@ -310,12 +310,6 @@ class CalibrationTargets:
         return CalibrationTargets.from_dict(json.loads(text))
 
 
-def _availability_range(report: KpiReport) -> tuple[float | None, float | None]:
-    """(min, peak) of the per-window availability; None for both when no window has one."""
-    values = [w.availability_pct for w in report.windows if w.availability_pct is not None]
-    return (min(values), max(values)) if values else (None, None)
-
-
 def _measure(result: ScenarioResult, spec: TargetSpec) -> float:
     """The value a calibration target checks; MissingMetric when it is undefined."""
 
@@ -425,20 +419,17 @@ def _columns(owner: type | None, *names: str) -> tuple[tuple, ...]:
 
 
 # Summary columns in file order: (column, owner, attribute).  Owner None
-# marks a column derived from the whole row; the others are read from the
-# run, its report or the report's counters.
+# marks a column that names the row; the others are read from the run, its
+# report or the report's counters.
 _SUMMARY_COLUMNS = (
     *_columns(None, "scenario", "config", "hosts"),
-    *_columns(RunResult, "seed", "duration_s"),
+    *_columns(RunResult, "seed"),
     *_columns(
         KpiReport,
-        "secure_traffic_pct", "tdr", "ubr", "exposure", "access_outcome",
+        "duration_s", "secure_traffic_pct", "tdr", "ubr", "exposure", "access_outcome",
         "reliability", "mean_latency_ms", "jitter_ms", "mean_rtt_ms",
         "detection_time_ms", "response_time_ms", "throughput_mbps", "availability_pct",
-    ),
-    *_columns(None, "availability_min_pct", "availability_peak_pct"),
-    *_columns(
-        KpiReport,
+        "availability_min_pct", "availability_peak_pct",
         "cpu_pct", "memory_mb_mean", "memory_mb_max",
         "benign_sent", "benign_delivered", "benign_loss_total",
     ),
@@ -491,14 +482,7 @@ def _window_object(w: WindowRow) -> dict:
 def _summary_values(scenario: int, row: RunRow) -> dict:
     """A run's summary columns, unrounded, in file order."""
     rep = row.result.report
-    avail_min, avail_peak = _availability_range(rep)
-    derived = {
-        "scenario": scenario,
-        "config": row.label,
-        "hosts": row.hosts,
-        "availability_min_pct": avail_min,
-        "availability_peak_pct": avail_peak,
-    }
+    derived = {"scenario": scenario, "config": row.label, "hosts": row.hosts}
     owners = {RunResult: row.result, KpiReport: rep, KpiCounters: rep.counters}
     return {
         col: derived[col] if owner is None else getattr(owners[owner], attr)
@@ -691,15 +675,14 @@ def load_results(out_dir: str | Path) -> list[ScenarioResult]:
                         values[owner][attr] = _parse(rec[col], _value_type(owner, attr))
                 label = rec["config"]
                 window_path = out / f"s{scenario}_{label}_{seed}.csv"
-                run = values[RunResult]
                 report = KpiReport(
-                    duration_s=run["duration_s"],
                     counters=KpiCounters(**values[KpiCounters]),
                     windows=_read_windows(window_path) if window_path.exists() else [],
                     **values[KpiReport],
                 )
-                rows.append(RunRow(label, int(rec["hosts"]), RunResult(report=report, **run)))
-        duration = max((r.result.duration_s for r in rows), default=0.0)
+                result = RunResult(report=report, **values[RunResult])
+                rows.append(RunRow(label, int(rec["hosts"]), result))
+        duration = max((r.result.report.duration_s for r in rows), default=0.0)
         results.append(
             ScenarioResult(
                 scenario=scenario,

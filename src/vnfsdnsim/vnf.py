@@ -4,7 +4,8 @@ Each function inspects a packet and returns a ``Verdict``: ``FORWARD``, or
 the block reason itself, one enum member per reason.  A chain consults its
 functions in order and stops at the first block, so the per-packet
 processing cost is the sum of the costs of the functions actually
-consulted.
+consulted.  Each function also reports ``state_kb``, the estimated state it
+holds, which the runtime's memory gauge sums.
 
 The packet filter realises tag-set admission: a packet is forwarded only
 when its tag is in the authorised set and it is not an access violation,
@@ -96,6 +97,8 @@ class FilterVnf:
 
     #: Processing cost of one packet, in us.
     cost_us = 2
+    #: Estimated state, in kB, for the memory gauge: none.
+    state_kb = 0.0
 
     def check(self, packet: Packet, now_us: int = 0) -> Verdict:
         if self.policy.accepts(packet.tag) and packet.cls is not PacketClass.UNAUTHORIZED_ACCESS:
@@ -120,6 +123,7 @@ class FirewallVnf:
     """First-match static rule table; a packet no rule matches is allowed."""
 
     cost_us = 1
+    state_kb = 0.0
 
     def __init__(self, rules: Iterable[FirewallRule], topology: StarSpec):
         def node_id(name: str | None) -> int | None:
@@ -155,6 +159,10 @@ class IdsSettings:
         require(self, POSITIVE, "anomaly_threshold_pps")
 
 
+#: Estimated state per tracked intrusion-detection source, in kB.
+IDS_KB_PER_SOURCE = 4.0
+
+
 @dataclass
 class IdsVnf:
     """Signature matching plus a sliding-window per-source rate detector.
@@ -186,8 +194,8 @@ class IdsVnf:
         return FORWARD
 
     @property
-    def tracked_sources(self) -> int:
-        return len(self._arrivals)
+    def state_kb(self) -> float:
+        return len(self._arrivals) * IDS_KB_PER_SOURCE
 
 
 @dataclass(frozen=True)
@@ -237,8 +245,8 @@ class MitigationProfile:
         return FORWARD
 
     @property
-    def tracked_flows(self) -> int:
-        return len(self._flows)
+    def state_kb(self) -> float:
+        return len(self._flows) * self.settings.memory_kb_per_flow
 
 
 # ----------------------------------------------------------------------

@@ -5,16 +5,18 @@ aggregation matches a naive single-pass scan over the same trace.
 
 import math
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vnfsdnsim.metrics import (
+    ROW_SUMS,
     AnalyticParams,
     KpiCounters,
     WindowAggregator,
+    WindowRow,
     access_outcome_rate,
     check_hypothesis1,
     composite_simpson,
@@ -174,13 +176,13 @@ def test_counter_invariants_rejected():
 
 
 def test_finalize_rejects_inconsistent_counters():
-    agg = WindowAggregator(window_s=1.0)
+    agg = WindowAggregator(window_s=1.0, horizon_us=SECOND)
     p1 = _packet(1, 10)
     agg.feed(("emit", 10, p1))
     agg.feed(("deliver", 100, p1))
     agg.feed(("deliver", 200, _packet(2, 110)))  # never emitted
     with pytest.raises(ValueError, match="dispositions exceed emitted packets"):
-        agg.finalize(SECOND, devices_total=2)
+        agg.finalize(devices_total=2)
 
 
 # ----------------------------------------------------------------------
@@ -432,7 +434,7 @@ def test_aggregator_window_means_count_each_delivery_once():
         replace(_packet(6, t0, rtt_anchor=t0), measured=False),
         replace(_packet(7, SECOND + t0, rtt_anchor=SECOND + t0 - 3_000), measured=False),
     ]
-    agg = WindowAggregator(window_s=1.0)
+    agg = WindowAggregator(window_s=1.0, horizon_us=3 * SECOND)
     for p in measured + responses:
         agg.feed(("emit", p.created_at, p))
     for p, delivered_at in zip(
@@ -441,7 +443,7 @@ def test_aggregator_window_means_count_each_delivery_once():
          t0 + 10_000, t0 + 14_000, SECOND + t0 + 4_000),
     ):
         agg.feed(("deliver", delivered_at, p))
-    report = agg.finalize(3 * SECOND, devices_total=1)
+    report = agg.finalize(devices_total=1)
     w0, w1, w2 = report.windows
     assert w0.mean_latency_ms == pytest.approx(3.0)  # (1 + 2 + 6) / 3
     assert w0.mean_rtt_ms == pytest.approx(12.0)  # (10 + 14) / 2
@@ -462,6 +464,55 @@ def test_a_partial_last_window_of_downtime_counts_its_own_length():
     assert report.reliability == pytest.approx(2 / 3)
 
 
+def test_a_partial_last_window_reports_its_rates_over_its_own_length():
+    # 1.5 s with 1 s windows: 10,000 bits delivered and 5,000 us spent in
+    # the last half second are 0.02 Mbps and 1 % of that half second
+    p = _packet(1, SECOND + 10, size=1250)
+    trace = [("emit", SECOND + 10, p), ("deliver", SECOND + 1_010, p),
+             ("cost", SECOND + 1_010, 5_000)]
+    report = kpi_rollup(trace, window_s=1.0, duration_us=SECOND + SECOND // 2)
+    first, last = report.windows
+    assert (first.throughput_mbps, first.cpu_pct) == (0.0, 0.0)
+    assert (last.throughput_mbps, last.cpu_pct) == (0.02, 1.0)
+    # the run's rates are the same formulas over the 1.5 s horizon
+    assert report.throughput_mbps == pytest.approx(10_000 / 1.5 / 1e6)
+    assert report.cpu_pct == pytest.approx(5_000 / 1.5e6 * 100.0)
+
+
+def test_a_run_one_window_long_reports_that_windows_rates():
+    t0 = 100_000
+    measured = [_packet(1, t0), _packet(2, t0 + 10, size=500)]
+    response = replace(_packet(3, t0, rtt_anchor=t0 - 7_000), measured=False)
+    trace = [("emit", t0, p) for p in (*measured, response)]
+    trace += [("deliver", t0 + 1_000, measured[0]), ("deliver", t0 + 3_010, measured[1]),
+              ("deliver", t0 + 5_000, response), ("cost", t0 + 1_000, 40_000)]
+    report = kpi_rollup(trace, window_s=1.0, duration_us=SECOND)
+    (window,) = report.windows
+    rates = ("mean_latency_ms", "mean_rtt_ms", "throughput_mbps", "cpu_pct")
+    assert [getattr(report, f) for f in rates] == [getattr(window, f) for f in rates]
+    assert [getattr(report, f) for f in rates] == pytest.approx([2.0, 12.0, 0.012, 4.0])
+
+
+def test_every_field_a_fold_adds_to_is_a_row_sum():
+    # One record of every kind for a measured packet, a threat and an
+    # unauthorised attempt.  A field missing from ROW_SUMS would be left
+    # out of the run total and of ``add``.
+    benign = _packet(1, 10, rtt_anchor=5)
+    threat = _packet(2, 10, PacketClass.THREAT, 800, "ddos/x", src=1)
+    probe = _packet(3, 10, PacketClass.UNAUTHORIZED_ACCESS, 200, "access/u", src=2)
+    agg = WindowAggregator(1.0, horizon_us=SECOND)
+    for p in (benign, threat, probe):
+        for rec in (("emit", 10, p), ("deliver", 20, p), ("qdrop", 30, p),
+                    ("block", 40, p, "policy")):
+            agg.feed(rec)
+    for rec in (("cost", 50, 7), ("mem", 60, 64.5), ("detect", 70, "1->9/tcp", 60),
+                ("rule_install", 80, 1, 9, "tcp", "ids")):
+        agg.feed(rec)
+    row, fresh = agg._row(0), WindowRow(0, 0.0)
+    changed = {f.name for f in fields(WindowRow) if getattr(row, f.name) != getattr(fresh, f.name)}
+    assert changed - {"mem_mb"} == set(ROW_SUMS)
+
+
 def test_adding_a_fold_equals_folding_its_records():
     # Records folded once for several runs, the emit and qdrop records of
     # shared uplinks, are added to each run's own fold; the sum must equal
@@ -478,7 +529,7 @@ def test_adding_a_fold_equals_folding_its_records():
     mine = _packet(99, 20)
     own = [("emit", 20, mine), ("deliver", 30, mine), ("block", SECOND + 20, probe, "policy")]
 
-    direct, scratch, added = (WindowAggregator(window_s=1.0) for _ in range(3))
+    direct, scratch, added = (WindowAggregator(1.0, horizon_us=2 * SECOND) for _ in range(3))
     for rec in own + records:
         direct.feed(rec)
     for rec in records:
@@ -486,8 +537,8 @@ def test_adding_a_fold_equals_folding_its_records():
     for rec in own:
         added.feed(rec)
     added.add(scratch)
-    want = direct.finalize(2 * SECOND, devices_total=4)
-    assert added.finalize(2 * SECOND, devices_total=4) == want
+    want = direct.finalize(devices_total=4)
+    assert added.finalize(devices_total=4) == want
     c = want.counters
     assert (c.total_packets, c.queue_dropped, c.access_attempts) == (11, 4, 2)
     assert (c.threat_packets, c.unauthorized_attempts, c.blocked_unauthorized) == (2, 4, 1)
@@ -496,7 +547,7 @@ def test_adding_a_fold_equals_folding_its_records():
 
 
 def test_aggregator_availability_capped_at_100():
-    agg = WindowAggregator(window_s=1.0)
+    agg = WindowAggregator(window_s=1.0, horizon_us=2 * SECOND)
     # a packet emitted in window 0 but delivered in window 1 can push the
     # per-window delivered count above the sent count
     p1, p2, p3 = _packet(1, 10), _packet(2, 20), _packet(3, SECOND + 10)
@@ -506,7 +557,7 @@ def test_aggregator_availability_capped_at_100():
     agg.feed(("emit", SECOND + 10, p3))
     agg.feed(("deliver", SECOND + 20, p2))
     agg.feed(("deliver", SECOND + 30, p3))
-    report = agg.finalize(2 * SECOND, devices_total=2)
+    report = agg.finalize(devices_total=2)
     assert report.windows[1].availability_pct == 100.0
     assert all(
         w.availability_pct is None or 0 <= w.availability_pct <= 100

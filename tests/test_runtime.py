@@ -541,6 +541,20 @@ def test_live_totals_are_conserved_and_match_an_offline_rollup():
     assert offline == result.report
 
 
+def test_a_run_that_ends_mid_window_matches_an_offline_rollup():
+    # 1.5 s with 1 s windows: the last window is half a second long, and
+    # its throughput is its delivered bits over that half second
+    sim = make_sim(vnfs=[FilterVnf(policy=GOLD_ONLY)], hosts=3)
+    result = sim.run(1.5, benign=[BenignProfile(
+        name="web", sources="all_hosts", dst="server0", rate_pps=200.0,
+        size=SizeDist(200, 1200), tag="gold", request_fraction=0.2, response_size=300)])
+    report = result.report
+    assert report.duration_s == 1.5 and len(report.windows) == 2
+    assert kpi_rollup(sim.trace, 1.0, duration_us=1_500_000, devices_total=4) == report
+    bits = sum(r[2].size * 8 for r in recs(sim, "deliver") if r[2].measured and r[1] >= 1_000_000)
+    assert bits and report.windows[1].throughput_mbps == bits / 0.5 / 1e6
+
+
 # Shrunk s1 and s5 with their attacks moved to 0.5 s: every security config
 # blocks, drops or delivers; s5's qos_sdn profile runs the benign-first queue.
 ROLLUP_RUNS = {

@@ -17,6 +17,7 @@ from vnfsdnsim.model import (
     ThreatKind,
 )
 from vnfsdnsim.vnf import (
+    IDS_KB_PER_SOURCE,
     CaptureVnf,
     FilterVnf,
     FirewallRule,
@@ -123,7 +124,7 @@ def test_ids_anomaly_matches_sliding_window_oracle():
         assert verdict.forward == (not expect_block), f"diverged at packet {i}"
         if not verdict.forward:
             assert verdict is Verdict.IDS_ANOMALY
-    assert ids.tracked_sources == 1
+    assert ids.state_kb == 1 * IDS_KB_PER_SOURCE
 
 
 def test_ids_window_prunes_per_source():
@@ -155,7 +156,7 @@ def test_profile_detection_fraction_and_rng_requirement():
     assert rng.counter == n
     assert profile.check(make_packet(), now_us=0).forward
     assert rng.counter == n
-    assert profile.tracked_flows == 2
+    assert profile.state_kb == 2 * profile.settings.memory_kb_per_flow
 
 
 def test_chain_short_circuits_at_first_block():
